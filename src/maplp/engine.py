@@ -20,17 +20,53 @@ cluster, never increases it.  The two modes are:
 Self sub-clusters (a cluster listed among its own sub-clusters) carry a
 vacuous constraint; they are skipped everywhere and their message is pinned
 to zero.
+
+In belief mode ``run`` compiles the sweep once per call (pursuit re-enters
+with a grown spec and so recompiles):
+
+* **Levels.** ``level(c) = 1 + max level of the earlier updating clusters
+  that share a table with c``.  The updates of one level touch disjoint
+  tables and commute, so running the levels in order gives exactly the
+  insertion-order iterates (any schedule that respects these dependencies
+  does; Globerson & Jaakkola, NIPS 2007; Kolmogorov, PAMI 2006).
+* **Shape groups.** Within a level, the clusters with one table shape and
+  one sub-cluster layout (the kept axes of each sub, in sub order) run as
+  one numpy update.  A group of one runs on basic-index views with scalar
+  maxima, as cheap as a lone update.
+* **Packed storage.** The state's tables are stacked into one array per
+  table shape, one table per row, so a group gathers each role with one
+  row index per member.  On return every table of the ``BeliefState`` is a
+  view into this shared storage.  Tables added to the state afterwards
+  (pursuit adds zero tables for new clusters) are packed by the next run.
+* **Summation order.** Each cluster keeps its float operations in the
+  one-cluster order: ``joint = b_c + b_s1 + ...``, then each new sub-table
+  ``max * (1/|S|)``, then the subtractions in sub order.  The dual adds the
+  table maxima left to right in the state's own table order, and the
+  primal adds the potential entries left to right in potential order.  So
+  dual and primal traces, final tables, the assignment and
+  ``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
+  sweep.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .factor_graph import Cluster, FactorGraph, energy, table_cells, table_shape
+from .factor_graph import (
+    Cluster,
+    FactorGraph,
+    InvalidModelError,
+    table_cells,
+    table_shape,
+    validate,
+)
 from .relaxations import RelaxationSpec
 
 
@@ -157,9 +193,112 @@ def init_messages(spec: RelaxationSpec, cardinalities: Sequence[int]) -> Message
     return MessageState(tables)
 
 
+class _Packing:
+    """The tables of a state stacked by shape: one array per table shape,
+    one table per row.  The dual and the decoder read all tables with one
+    numpy reduction per shape.
+
+    With ``cardinalities`` given, every table must have the shape of its
+    scope.
+    """
+
+    def __init__(
+        self,
+        tables: Mapping[Cluster, np.ndarray],
+        cardinalities: Sequence[int] | None = None,
+    ):
+        by_shape: dict[tuple[int, ...], list[Cluster]] = {}
+        for t, v in tables.items():
+            if cardinalities is not None and v.shape != table_shape(t, cardinalities):
+                raise InvalidModelError(
+                    f"table for cluster {t} has shape {v.shape}, "
+                    f"expected {table_shape(t, cardinalities)}"
+                )
+            by_shape.setdefault(v.shape, []).append(t)
+        self.packs: list[np.ndarray] = []
+        self.starts: list[int] = []
+        # Row of each table in the concatenation of all packs.
+        self.rows: dict[Cluster, int] = {}
+        for ts in by_shape.values():
+            self.starts.append(len(self.rows))
+            self.packs.append(np.stack([tables[t] for t in ts], dtype=np.float64))
+            for t in ts:
+                self.rows[t] = len(self.rows)
+        # The state's own table order is the dual's summation order.
+        self._order = np.array([self.rows[t] for t in tables], dtype=np.intp)
+        self._decoder: list[tuple[np.ndarray, ...]] | None = None
+
+    def _index(self, t: Cluster) -> tuple[int, int]:
+        row = self.rows[t]
+        k = bisect_right(self.starts, row) - 1
+        return k, row - self.starts[k]
+
+    def locate(self, t: Cluster) -> tuple[np.ndarray, int]:
+        """The pack holding table ``t`` and its row there."""
+        k, row = self._index(t)
+        return self.packs[k], row
+
+    def refill(self, tables: Mapping[Cluster, np.ndarray]) -> None:
+        """Copy new values of the packed tables into the packs."""
+        for t, v in tables.items():
+            pack, row = self.locate(t)
+            pack[row] = v
+
+    def view(self, t: Cluster) -> np.ndarray:
+        """Table ``t`` as a view into its pack."""
+        pack, row = self.locate(t)
+        return pack[row]
+
+    def _per_table(self, reduce: Callable) -> np.ndarray:
+        return np.concatenate([reduce(p.reshape(len(p), -1), axis=1) for p in self.packs])
+
+    def dual(self) -> float:
+        """Sum of the table maxima, left to right in table order.  Not
+        ``np.sum``, which adds pairwise, nor builtin ``sum``, which
+        compensates float lists from Python 3.12 on: dual traces are
+        defined by this order."""
+        total = 0.0
+        if self.packs:
+            for m in self._per_table(np.ndarray.max)[self._order].tolist():
+                total += m
+        return total
+
+    def states(self, num_vars: int) -> list[int]:
+        """Decoded state of every variable (see :func:`decode`)."""
+        if self._decoder is None:
+            self._decoder = self._owner_axes(num_vars)
+        states = np.zeros(num_vars, dtype=np.intp)
+        for pack, variables, axes, rows in self._decoder:
+            first = pack.reshape(len(pack), -1).argmax(axis=1)
+            coords = np.array(np.unravel_index(first, pack.shape[1:]))
+            states[variables] = coords[axes, rows]
+        return states.tolist()
+
+    def _owner_axes(self, num_vars: int) -> list[tuple[np.ndarray, ...]]:
+        """Per pack holding owner tables: the variables they own, with the
+        axis and row of each.  A variable's owner is the smallest, then
+        lexicographically first, table containing it."""
+        owner: dict[int, Cluster] = {}
+        for t in sorted(self.rows, key=lambda t: (len(t), t)):
+            for v in t:
+                owner.setdefault(v, t)
+        by_pack: dict[int, list[tuple[int, int, int]]] = {}
+        for i in range(num_vars):
+            t = owner.get(i)
+            if t is None:
+                raise CoverageError(f"variable {i} appears in no support cluster")
+            k, row = self._index(t)
+            by_pack.setdefault(k, []).append((i, t.index(i), row))
+        return [
+            (self.packs[k], *(np.array(column, dtype=np.intp) for column in zip(*owned)))
+            for k, owned in by_pack.items()
+        ]
+
+
 def dual_objective(beliefs: BeliefState) -> float:
-    """Sum over the support of each table's maximum entry."""
-    return float(sum(v.max() for v in beliefs.tables.values()))
+    """Sum over the support of each table's maximum entry, added left to
+    right in the state's table order."""
+    return _Packing(beliefs.tables).dual()
 
 
 def dual_decrease(beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Cluster]) -> float:
@@ -178,63 +317,96 @@ def dual_decrease(beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Clust
     return separate - float(joint.max())
 
 
+def _block_update(bc, bss, embeds, axes, inv, out_c, out_subs) -> float:
+    """The block update kernel for one cluster; returns its dual drop.
+
+    ``joint = b_c + b_s1 + ...``; every new sub-table is ``max over c\\s of
+    joint, times 1/|S|``, all from the same pre-update joint; the new cluster
+    table is ``joint`` minus the new sub-tables in sub order.  The outputs
+    may alias the inputs.
+    """
+    joint = bc.copy()
+    before = float(bc.max())
+    for bs, e in zip(bss, embeds):
+        joint += bs[e]
+        before += float(bs.max())
+    after = 0.0
+    for ax, out in zip(axes, out_subs):
+        np.multiply(joint.max(axis=ax), inv, out=out)
+        after += float(out.max())
+    for out, e in zip(out_subs, embeds):
+        joint -= out[e]
+    out_c[...] = joint
+    after += float(joint.max())
+    return before - after
+
+
+def _group_update(cpack, crows, subs, inv) -> float:
+    """:func:`_block_update` for a group of clusters sharing one table shape
+    and sub-cluster layout, with the same operations per member; one row
+    per member in each pack.  Returns the smallest member drop."""
+    n = len(crows)
+    joint = cpack[crows]
+    before = joint.reshape(n, -1).max(axis=1)
+    for spack, srows, e, _ in subs:
+        bs = spack[srows]
+        joint += bs[e]
+        before += bs.reshape(n, -1).max(axis=1)
+    after = 0.0
+    news = []
+    for _, _, _, ax in subs:
+        ns = joint.max(axis=ax)
+        ns *= inv
+        after = after + ns.reshape(n, -1).max(axis=1)
+        news.append(ns)
+    for ns, (spack, srows, e, _) in zip(news, subs):
+        joint -= ns[e]
+        spack[srows] = ns
+    cpack[crows] = joint
+    after = after + joint.reshape(n, -1).max(axis=1)
+    return float((before - after).min())
+
+
 def update_cluster_beliefs(
     beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Cluster]
 ) -> float:
     """One block update in belief mode; returns the realised dual drop.
 
     All new sub-tables are computed from the same pre-update joint table, so
-    the block is updated simultaneously, not sequentially.
+    the block is updated simultaneously, not sequentially.  The updated
+    tables are new arrays; the previous ones are left as they were.
     """
     subs = [s for s in sub_clusters if s != c]
     if not subs:
         return 0.0
     bc = beliefs[c]
-    before = float(bc.max())
-    joint = bc.copy()
-    for s in subs:
-        bs = beliefs[s]
-        if bs.ndim != len(s):
-            raise ValueError(f"table for {s} has {bs.ndim} axes, expected {len(s)}")
-        joint += bs[_embed_index(s, c)]
-        before += float(bs.max())
-    inv = 1.0 / len(subs)
-    after = 0.0
-    new_subs = []
-    for s in subs:
-        ns = joint.max(axis=_max_axes(s, c)) * inv
-        new_subs.append(ns)
-        after += float(ns.max())
+    if bc.ndim != len(c):
+        raise InvalidModelError(f"table for {c} has {bc.ndim} axes, expected {len(c)}")
+    bss = [beliefs[s] for s in subs]
+    axes = [_max_axes(s, c) for s in subs]
+    for s, bs, ax in zip(subs, bss, axes):
+        want = tuple(n for i, n in enumerate(bc.shape) if i not in ax)
+        if bs.shape != want:
+            raise InvalidModelError(f"table for {s} has shape {bs.shape}, expected {want}")
+    new_c = np.empty(bc.shape)
+    new_subs = [np.empty(bs.shape) for bs in bss]
+    embeds = [_embed_index(s, c) for s in subs]
+    drop = _block_update(bc, bss, embeds, axes, 1.0 / len(subs), new_c, new_subs)
     for s, ns in zip(subs, new_subs):
-        joint -= ns[_embed_index(s, c)]
         beliefs[s] = ns
-    beliefs[c] = joint
-    after += float(joint.max())
-    return before - after
+    beliefs[c] = new_c
+    return drop
 
 
 def decode(beliefs: BeliefState, graph: FactorGraph) -> tuple[int, ...]:
     """Integer assignment from belief maximisers.
 
     Variables with a singleton table use its argmax; anything else takes its
-    state from the argmax of the smallest table containing it.  Ties resolve
-    to the lowest flat index, hence the lexicographically smallest
-    configuration.
+    state from the argmax of the smallest table containing it, the
+    lexicographically first among equal sizes.  Ties resolve to the lowest
+    flat index, hence the lexicographically smallest configuration.
     """
-    support = sorted(beliefs.tables, key=lambda t: (len(t), t))
-    owner: dict[int, Cluster] = {}
-    for t in support:
-        for v in t:
-            owner.setdefault(v, t)
-    states = []
-    for i in range(graph.num_vars):
-        t = owner.get(i)
-        if t is None:
-            raise CoverageError(f"variable {i} appears in no support cluster")
-        table = beliefs[t]
-        conf = np.unravel_index(int(np.argmax(table)), table.shape)
-        states.append(int(conf[t.index(i)]))
-    return tuple(states)
+    return tuple(_Packing(beliefs.tables).states(graph.num_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -265,49 +437,77 @@ class RunResult:
         return abs(self.dual - self.primal)
 
 
-class _BeliefPlan:
-    """Precomputed indexing for one cluster's block update."""
+def _schedule(spec: RelaxationSpec, cardinalities: Sequence[int]) -> list[list[Cluster]]:
+    """The updating clusters in batches, in execution order.
 
-    __slots__ = ("cluster", "subs", "embeds", "axes", "inv")
-
-    def __init__(self, cluster: Cluster, subs: list[Cluster]):
-        self.cluster = cluster
-        self.subs = subs
-        self.embeds = [_embed_index(s, cluster) for s in subs]
-        self.axes = [_max_axes(s, cluster) for s in subs]
-        self.inv = 1.0 / len(subs)
-
-
-def _build_plans(spec: RelaxationSpec) -> list[_BeliefPlan]:
-    plans = []
+    ``level(c) = 1 + max level of the earlier updating clusters sharing a
+    table with c``; clusters of one level touch disjoint tables, so running
+    the levels in order reproduces the insertion-order sweep.  Within a
+    level, clusters with one table shape and one sub-cluster layout (the
+    kept axes of each sub, in sub order) form one batch, in insertion order.
+    """
+    last: dict[Cluster, int] = {}
+    batches: dict[tuple, list[Cluster]] = {}
     for c in spec.extended_clusters:
-        subs = list(spec.proper_subs_of(c))
-        if subs:
-            plans.append(_BeliefPlan(c, subs))
-    return plans
+        subs = spec.proper_subs_of(c)
+        if not subs:
+            continue
+        touched = (c, *subs)
+        level = 1 + max(last.get(t, 0) for t in touched)
+        for t in touched:
+            last[t] = level
+        layout = tuple(tuple(i for i, v in enumerate(c) if v in s) for s in subs)
+        batches.setdefault((level, table_shape(c, cardinalities), layout), []).append(c)
+    return [members for _, members in sorted(batches.items(), key=lambda kv: kv[0][0])]
 
 
-def _apply_plan(beliefs: BeliefState, plan: _BeliefPlan) -> float:
-    tables = beliefs.tables
-    joint = tables[plan.cluster].copy()
-    before = float(tables[plan.cluster].max())
-    for s, idx in zip(plan.subs, plan.embeds):
-        bs = tables[s]
-        joint += bs[idx]
-        before += float(bs.max())
-    after = 0.0
-    new_subs = []
-    for axes in plan.axes:
-        ns = joint.max(axis=axes) * plan.inv
-        new_subs.append(ns)
-        after += float(ns.max())
-    for ns, idx in zip(new_subs, plan.embeds):
-        joint -= ns[idx]
-    for s, ns in zip(plan.subs, new_subs):
-        tables[s] = ns
-    tables[plan.cluster] = joint
-    after += float(joint.max())
-    return before - after
+def _compile_sweep(
+    spec: RelaxationSpec,
+    packing: _Packing,
+    tables: Mapping[Cluster, np.ndarray],
+    cardinalities: Sequence[int],
+) -> list[Callable[[], float]]:
+    """One call per batch; each applies its block updates to the packed
+    tables and returns the smallest drop among them.  ``tables`` are the
+    state's tables, already views into the packs."""
+    locate = packing.locate
+    steps = []
+    for members in _schedule(spec, cardinalities):
+        c = members[0]
+        subs = spec.proper_subs_of(c)
+        inv = 1.0 / len(subs)
+        if len(members) == 1:
+            # Basic-index views and scalar maxima: no gather for one table.
+            bc = tables[c]
+            bss = [tables[s] for s in subs]
+            embeds = [_embed_index(s, c) for s in subs]
+            axes = [_max_axes(s, c) for s in subs]
+            steps.append(partial(_block_update, bc, bss, embeds, axes, inv, bc, bss))
+            continue
+        member_subs = [spec.proper_subs_of(m) for m in members]
+        batch_subs = []
+        for k, s in enumerate(subs):
+            rows = np.array([locate(ms[k])[1] for ms in member_subs], dtype=np.intp)
+            embed = (slice(None),) + _embed_index(s, c)
+            axes = tuple(a + 1 for a in _max_axes(s, c))
+            batch_subs.append((locate(s)[0], rows, embed, axes))
+        crows = np.array([locate(m)[1] for m in members], dtype=np.intp)
+        steps.append(partial(_group_update, locate(c)[0], crows, batch_subs, inv))
+    return steps
+
+
+class _Primal:
+    """:func:`energy` with the lookups prepared once: each potential's
+    entry at the decoded states, added left to right in potential order."""
+
+    def __init__(self, graph: FactorGraph):
+        self.lookups = [(p.values.item, itemgetter(*p.scope)) for p in graph.potentials]
+
+    def __call__(self, states: list[int]) -> float:
+        total = 0.0
+        for entry, scope_states in self.lookups:
+            total += entry(scope_states(states))
+        return total
 
 
 def run(
@@ -328,12 +528,20 @@ def run(
 
     The keyword arguments allow warm starts (cluster pursuit re-enters with
     the previous state) and keep trace bookkeeping cumulative across rounds.
-    Returns the trace, final state and decoded assignment.
+    Returns the trace, final state and decoded assignment.  In belief mode
+    the returned tables (and those of a passed ``beliefs``) are views into
+    storage shared by all tables of one shape.
+
+    Raises :class:`InvalidModelError` when ``validate(graph)`` reports a
+    problem or a passed table has the wrong shape.
     """
     if params is None:
         params = SolverParams()
     if mode not in ("beliefs", "messages"):
         raise ValueError(f"unknown mode {mode!r}")
+    problems = validate(graph)
+    if problems:
+        raise InvalidModelError("invalid model: " + "; ".join(problems))
     cap = params.max_sweeps if max_sweeps is None else max_sweeps
     t0 = time.perf_counter() if start_time is None else start_time
     trace = DualTrace()
@@ -348,20 +556,29 @@ def run(
     truncated = False
     converged = False
     state = beliefs if beliefs is not None else init_beliefs(graph, spec)
-    plans = _build_plans(spec)
-    g_prev = dual_objective(state)
+    missing = [t for t in spec.support if t not in state]
+    if missing:
+        raise CoverageError(f"support clusters {missing} have no belief table")
+    packing = _Packing(state.tables, graph.cardinalities)
+    for t in packing.rows:
+        state.tables[t] = packing.view(t)
+    steps = _compile_sweep(spec, packing, state.tables, graph.cardinalities)
+    primal = _Primal(graph)
+    # Decoding once up front reports a variable in no table before any sweep.
+    x = packing.states(graph.num_vars)
+    g_prev = packing.dual()
     for sweep in range(1, cap + 1):
-        for plan in plans:
-            drop = _apply_plan(state, plan)
+        for step in steps:
+            drop = step()
             if drop < min_drop:
                 min_drop = drop
-        g = dual_objective(state)
-        x = decode(state, graph)
+        g = packing.dual()
+        x = packing.states(graph.num_vars)
         trace.append(TraceRecord(
             sweep=sweep_offset + sweep,
             seconds=time.perf_counter() - t0,
             dual=g,
-            primal=energy(graph, x),
+            primal=primal(x),
             pursuit_round=pursuit_round,
             algorithm=label,
         ))
@@ -372,11 +589,10 @@ def run(
         if time.perf_counter() - t0 > params.time_limit:
             truncated = True
             break
-    assignment = decode(state, graph)
     return RunResult(
         trace=trace,
         beliefs=state,
-        assignment=assignment,
+        assignment=tuple(x),
         converged=converged,
         truncated=truncated,
         min_update_decrease=0.0 if min_drop == float("inf") else min_drop,
@@ -483,21 +699,25 @@ def _run_messages(
             raise CoverageError(
                 f"original cluster {c} has no table under this relaxation"
             )
-    g_prev = dual_objective(ctx.beliefs(msgs))
+    state = ctx.beliefs(msgs)
+    packing = _Packing(state.tables)
+    primal = _Primal(graph)
+    x = packing.states(graph.num_vars)
+    g_prev = packing.dual()
     converged = False
     truncated = False
-    state = ctx.beliefs(msgs)
     for sweep in range(1, cap + 1):
         for c in spec.extended_clusters:
             _update_messages(msgs, ctx, c)
         state = ctx.beliefs(msgs)
-        g = dual_objective(state)
-        x = decode(state, graph)
+        packing.refill(state.tables)
+        g = packing.dual()
+        x = packing.states(graph.num_vars)
         trace.append(TraceRecord(
             sweep=sweep_offset + sweep,
             seconds=time.perf_counter() - t0,
             dual=g,
-            primal=energy(graph, x),
+            primal=primal(x),
             pursuit_round=pursuit_round,
             algorithm=label,
         ))
@@ -508,7 +728,7 @@ def _run_messages(
         if time.perf_counter() - t0 > params.time_limit:
             truncated = True
             break
-    assignment = decode(state, graph)
+    assignment = tuple(x)
     return RunResult(
         trace=trace,
         beliefs=state,

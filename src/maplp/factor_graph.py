@@ -34,6 +34,10 @@ class EnumerationCapError(ValueError):
     """A requested exhaustive operation exceeds its configured cap."""
 
 
+class InvalidModelError(ValueError):
+    """A model or a table handed to the solver breaks its invariants."""
+
+
 def as_cluster(variables: Iterable[int]) -> Cluster:
     """Normalise an iterable of variable indices into a cluster tuple.
 
@@ -197,11 +201,11 @@ def validate(graph: FactorGraph) -> list[str]:
         want = table_cells(scope, graph.cardinalities)
         if p.values.size != want:
             problems.append(
-                f"cluster {i}: table size {p.values.size}, expected {want}"
+                f"cluster {i} {scope}: table size {p.values.size}, expected {want}"
             )
             continue
         if not np.all(np.isfinite(p.values)):
-            problems.append(f"cluster {i}: non-finite table entries")
+            problems.append(f"cluster {i} {scope}: non-finite table entries")
     return problems
 
 

@@ -99,7 +99,8 @@ def stealth_candidates(
     Duplicated unions keep their best score; results are sorted by
     descending score, then lexicographic union.
     """
-    support = set(spec.support)
+    # The support in canonical (size, lexicographic) order, sorted once.
+    support = [(s, set(s)) for s in spec.support]
     senders: dict[Cluster, list[Cluster]] = {}
     for c in spec.extended_clusters:
         for s in spec.proper_subs_of(c):
@@ -132,8 +133,7 @@ def stealth_candidates(
                 continue
             union_set = set(union)
             subs = tuple(
-                s for s in sorted(support, key=lambda s: (len(s), s))
-                if s != union and set(s) < union_set
+                s for s, members in support if s != union and members < union_set
             )
             cand = StealthCandidate((c1, c2), t, union, subs, 0.0)
             score = pursuit_score(beliefs, cand)
@@ -239,9 +239,10 @@ def run_with_pursuit(
             break
         # A union already carried by the relaxation with all its sub-clusters
         # adds no constraint; keeping it would stall the loop.
+        present = set(current.extended_clusters)
         candidates = [
             c for c in candidates
-            if c.union not in set(current.extended_clusters)
+            if c.union not in present
             or not set(c.sub_clusters) <= set(current.subs_of(c.union))
         ]
         if not candidates:

@@ -7,6 +7,7 @@ from maplp import (
     BeliefState,
     CoverageError,
     FactorGraph,
+    InvalidModelError,
     RelaxationSpec,
     SolverParams,
     XorShift64Star,
@@ -251,6 +252,41 @@ class TestRun:
         assert all(rec.algorithm == "dd" for rec in r.trace.records)
         seconds = [rec.seconds for rec in r.trace.records]
         assert seconds == sorted(seconds)
+
+
+class TestInputErrors:
+    def test_nan_potential_rejected_in_both_modes(self):
+        g = FactorGraph([2, 2], [(0, 1), (1,)],
+                        [np.array([[0.0, np.nan], [1.0, 0.0]]), np.zeros(2)])
+        for mode in ("beliefs", "messages"):
+            with pytest.raises(InvalidModelError, match=r"cluster 0 \(0, 1\)"):
+                run(g, dd_spec(g), mode=mode)
+
+    def test_mis_sized_potential_rejected(self):
+        g = FactorGraph([2, 2], [(0, 1)], [np.zeros(3)])
+        with pytest.raises(InvalidModelError, match="table size 3, expected 4"):
+            run(g, dd_spec(g))
+
+    def test_mis_shaped_belief_table_rejected(self):
+        g = build_graph([2] * 5, CHAIN_CLUSTERS, seed=1)
+        spec = dd_spec(g)
+        beliefs = init_beliefs(g, spec)
+        beliefs[(3,)] = np.zeros(3)
+        with pytest.raises(InvalidModelError, match=r"\(3,\)"):
+            run(g, spec, beliefs=beliefs)
+
+    def test_variable_in_no_table_rejected(self):
+        g = FactorGraph([2, 2, 2], [(0, 1)], [np.zeros((2, 2))])
+        with pytest.raises(CoverageError, match="variable 2"):
+            run(g, gmplp_spec(g))
+
+    def test_missing_belief_table_rejected(self):
+        g = build_graph([2] * 5, CHAIN_CLUSTERS, seed=1)
+        spec = dd_spec(g)
+        beliefs = init_beliefs(g, spec)
+        del beliefs.tables[(4,)]
+        with pytest.raises(CoverageError):
+            run(g, spec, beliefs=beliefs)
 
 
 class TestFixedPointConsistency:

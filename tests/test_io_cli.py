@@ -212,6 +212,17 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("table", [[0.0, float("nan"), 1.0, 0.0], [0.0, 1.0, 2.0]])
+    def test_invalid_model_is_exit_2(self, tmp_path, capsys, table):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({
+            "format": "maplp-model", "version": 1, "cardinalities": [2, 2],
+            "clusters": [[0, 1]], "log_potentials": [table],
+        }))
+        code = cli_main(["solve", "--model", str(model), "--alg", "dd"])
+        assert code == 2
+        assert "cluster 0 (0, 1)" in capsys.readouterr().err
+
     def test_compare_merges_algorithm_labels(self, tmp_path):
         model = tmp_path / "grid.json"
         cli_main(["generate", "--grid", "3x3", "--states", "2", "--seed", "1",
