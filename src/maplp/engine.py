@@ -535,13 +535,40 @@ def run(
     Raises :class:`InvalidModelError` when ``validate(graph)`` reports a
     problem or a passed table has the wrong shape.
     """
+    _check_model(graph)
+    return _run(
+        graph, spec, params, mode, label=label, beliefs=beliefs, messages=messages,
+        max_sweeps=max_sweeps, pursuit_round=pursuit_round, start_time=start_time,
+        sweep_offset=sweep_offset,
+    )
+
+
+def _check_model(graph: FactorGraph) -> None:
+    problems = validate(graph)
+    if problems:
+        raise InvalidModelError("invalid model: " + "; ".join(problems))
+
+
+def _run(
+    graph: FactorGraph,
+    spec: RelaxationSpec,
+    params: SolverParams | None = None,
+    mode: str = "beliefs",
+    *,
+    label: str = "",
+    beliefs: BeliefState | None = None,
+    messages: MessageState | None = None,
+    max_sweeps: int | None = None,
+    pursuit_round: int = 0,
+    start_time: float | None = None,
+    sweep_offset: int = 0,
+) -> RunResult:
+    """:func:`run` on a graph already checked by :func:`_check_model`;
+    pursuit re-enters here once per round."""
     if params is None:
         params = SolverParams()
     if mode not in ("beliefs", "messages"):
         raise ValueError(f"unknown mode {mode!r}")
-    problems = validate(graph)
-    if problems:
-        raise InvalidModelError("invalid model: " + "; ".join(problems))
     cap = params.max_sweeps if max_sweeps is None else max_sweeps
     t0 = time.perf_counter() if start_time is None else start_time
     trace = DualTrace()
@@ -604,13 +631,6 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _theta_table(graph: FactorGraph, t: Cluster) -> np.ndarray | None:
-    for p in graph.potentials:
-        if p.scope == t:
-            return p.values
-    return None
-
-
 class _MessageContext:
     """Static structure shared by all message-mode updates: who sends to
     whom, and the potential table of each support cluster (zero if absent)."""
@@ -621,8 +641,8 @@ class _MessageContext:
         self.support = spec.support
         self.theta: dict[Cluster, np.ndarray] = {}
         for t in self.support:
-            th = _theta_table(graph, t)
-            self.theta[t] = th if th is not None else np.zeros(table_shape(t, self.cards))
+            p = graph._by_scope.get(t)
+            self.theta[t] = p.values if p is not None else np.zeros(table_shape(t, self.cards))
         self.senders: dict[Cluster, list[Cluster]] = {t: [] for t in self.support}
         for c in spec.extended_clusters:
             for s in spec.proper_subs_of(c):

@@ -117,6 +117,7 @@ class FactorGraph:
         for table in merged.values():
             table.values.flags.writeable = False
         self.potentials: tuple[PotentialTable, ...] = tuple(merged[s] for s in order)
+        self._by_scope: dict[Cluster, PotentialTable] = merged
 
     def _scope_ok(self, scope: Cluster) -> bool:
         if not scope:
@@ -130,10 +131,7 @@ class FactorGraph:
         return tuple(p.scope for p in self.potentials)
 
     def potential(self, cluster: Cluster) -> np.ndarray:
-        for p in self.potentials:
-            if p.scope == cluster:
-                return p.values
-        raise KeyError(cluster)
+        return self._by_scope[cluster].values
 
     def state_space_size(self) -> int:
         n = 1

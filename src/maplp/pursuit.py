@@ -24,12 +24,13 @@ from .engine import (
     DualTrace,
     MessageState,
     SolverParams,
+    _check_model,
     _embed_index,
+    _run,
     init_messages,
-    run,
 )
 from .factor_graph import Cluster, FactorGraph, table_shape
-from .relaxations import RelaxationSpec
+from .relaxations import RelaxationSpec, _canonical, _incidence, _inside
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +100,7 @@ def stealth_candidates(
     Duplicated unions keep their best score; results are sorted by
     descending score, then lexicographic union.
     """
-    # The support in canonical (size, lexicographic) order, sorted once.
-    support = [(s, set(s)) for s in spec.support]
+    index = _incidence(spec.support)
     senders: dict[Cluster, list[Cluster]] = {}
     for c in spec.extended_clusters:
         for s in spec.proper_subs_of(c):
@@ -131,10 +131,7 @@ def stealth_candidates(
             if len(union) > max_order:
                 skipped_large += 1
                 continue
-            union_set = set(union)
-            subs = tuple(
-                s for s, members in support if s != union and members < union_set
-            )
+            subs = _canonical(s for s in _inside(index, union) if s != union)
             cand = StealthCandidate((c1, c2), t, union, subs, 0.0)
             score = pursuit_score(beliefs, cand)
             cand = StealthCandidate((c1, c2), t, union, subs, score)
@@ -191,7 +188,10 @@ def run_with_pursuit(
     it has converged with nothing left to add, the relaxation cannot be
     tightened further by this strategy and the loop stops with whatever gap
     remains.  ``rounds`` counts outer iterations after the first solve.
+
+    The graph is validated once, before the first sweep, as in :func:`run`.
     """
+    _check_model(graph)
     if params is None:
         params = SolverParams()
     t0 = time.perf_counter()
@@ -205,7 +205,7 @@ def run_with_pursuit(
 
     while True:
         budget = params.max_sweeps if rounds == 0 else params.pursuit_sweeps
-        result = run(
+        result = _run(
             graph,
             current,
             params,

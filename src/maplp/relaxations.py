@@ -8,6 +8,11 @@ The support is every cluster that owns a table: ``C'`` together with all
 sub-clusters.  Every builder keeps the original clusters covered, i.e.
 ``C`` is contained in the support, so the relaxation bounds the original
 objective.
+
+The builders that intersect clusters or select sub-clusters (``gmplp``,
+``pi-s``, ``mi`` and :func:`intersection_closure`) look clusters up through
+a variable -> cluster incidence index, so their work grows with the pairs of
+clusters that share a variable, not with all pairs of clusters.
 """
 
 from __future__ import annotations
@@ -90,15 +95,33 @@ def covers(spec: RelaxationSpec, graph: FactorGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _incidence(family: Iterable[Cluster]) -> dict[int, list[Cluster]]:
+    """Variable -> the members of ``family`` that contain it, in family order."""
+    index: dict[int, list[Cluster]] = {}
+    for c in family:
+        for v in c:
+            index.setdefault(v, []).append(c)
+    return index
+
+
+def _inside(index: Mapping[int, list[Cluster]], c: Cluster) -> list[Cluster]:
+    """The indexed members contained in ``c``, ``c`` itself included.  Each
+    member is met once, under its smallest variable."""
+    cs = set(c)
+    return [t for v in c for t in index[v] if t[0] == v and cs.issuperset(t)]
+
+
+def _meets(index: Mapping[int, list[Cluster]], a: Cluster) -> set[Cluster]:
+    """The nonempty intersections of ``a`` with the indexed members (``a``
+    with itself included)."""
+    sa = set(a)
+    return {tuple(sorted(sa.intersection(b))) for v in sa for b in index[v]}
+
+
 def _pairwise_intersections(clusters: Iterable[Cluster]) -> set[Cluster]:
     cs = list(clusters)
-    out: set[Cluster] = set()
-    for a, b in combinations(cs, 2):
-        shared = tuple(sorted(set(a) & set(b)))
-        if shared:
-            out.add(shared)
-    out.update(cs)  # c = c & c
-    return out
+    index = _incidence(cs)
+    return {s for a in cs for s in _meets(index, a)}  # c = c & c included
 
 
 def gmplp_spec(graph: FactorGraph) -> RelaxationSpec:
@@ -106,12 +129,8 @@ def gmplp_spec(graph: FactorGraph) -> RelaxationSpec:
     pairwise intersection, itself included (the self entry is carried but is
     vacuous for the solver)."""
     cset = graph.clusters
-    inter = _pairwise_intersections(cset)
-    subs = {}
-    for c in cset:
-        cs = set(c)
-        subs[c] = tuple(s for s in _canonical(inter) if set(s) <= cs)
-    return RelaxationSpec(cset, subs)
+    index = _incidence(_pairwise_intersections(cset))
+    return RelaxationSpec(cset, {c: _inside(index, c) for c in cset})
 
 
 def dd_spec(graph: FactorGraph) -> RelaxationSpec:
@@ -184,15 +203,15 @@ def all_subsets_spec(graph: FactorGraph, max_order: int = 6) -> RelaxationSpec:
 def intersection_closure(clusters: Iterable[Cluster]) -> set[Cluster]:
     """Smallest family containing ``clusters`` closed under pairwise
     intersection (empty intersections dropped).  Worklist fixpoint; the
-    lattice of subsets is finite so this terminates."""
+    lattice of subsets is finite so this terminates.  Every member is an
+    intersection of given clusters, so each popped member meets only the
+    given clusters it shares a variable with."""
     closed: set[Cluster] = set(clusters)
+    index = _incidence(closed)
     work = list(closed)
     while work:
-        a = work.pop()
-        sa = set(a)
-        for b in list(closed):
-            shared = tuple(sorted(sa & set(b)))
-            if shared and shared not in closed:
+        for shared in _meets(index, work.pop()):
+            if shared not in closed:
                 closed.add(shared)
                 work.append(shared)
     return closed
@@ -203,16 +222,11 @@ def pi_system_spec(graph: FactorGraph) -> RelaxationSpec:
     subsets within the family (no member strictly between)."""
     closed = intersection_closure(graph.clusters)
     ext = _canonical(closed)
+    index = _incidence(ext)
     subs = {}
     for c in ext:
-        cs = set(c)
-        inside = [s for s in ext if s != c and set(s) < cs]
-        maximal = [
-            s
-            for s in inside
-            if not any(t != s and set(s) < set(t) for t in inside)
-        ]
-        subs[c] = tuple(maximal)
+        inside = [s for s in _inside(index, c) if s != c]
+        subs[c] = [s for s in inside if not any(set(s) < set(t) for t in inside)]
     return RelaxationSpec(ext, subs)
 
 
@@ -220,12 +234,11 @@ def max_intersection_spec(graph: FactorGraph) -> RelaxationSpec:
     """Only maximal clusters send; receivers are the original clusters plus
     pairwise intersections of maximal clusters (strict subsets only)."""
     cset = graph.clusters
+    index = _incidence(cset)
+    # A strict superset of c contains c's smallest variable.
     maximal = tuple(
-        c for c in cset if not any(c != d and set(c) < set(d) for d in cset)
+        c for c in cset if not any(set(c) < set(d) for v in c[:1] for d in index[v])
     )
-    receivers = set(cset) | _pairwise_intersections(maximal)
-    subs = {}
-    for c in maximal:
-        cs = set(c)
-        subs[c] = tuple(s for s in _canonical(receivers) if set(s) < cs)
+    index = _incidence(set(cset) | _pairwise_intersections(maximal))
+    subs = {c: [s for s in _inside(index, c) if s != c] for c in maximal}
     return RelaxationSpec(maximal, subs)

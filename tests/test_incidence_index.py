@@ -1,0 +1,192 @@
+"""The incidence-indexed structure code against the all-pairs scans it
+replaced.
+
+The ``reference_*`` functions below are the all-pairs builders and the
+whole-support candidate scan: every pair of clusters is intersected, and
+every member of a family is tested for containment.  The indexed versions
+only meet clusters that share a variable, which must not change a single
+value: specs are compared with ``==`` and in ``extended_clusters`` order,
+stealth candidates field by field with their scores.
+"""
+
+from itertools import combinations
+
+import pytest
+
+import maplp.pursuit as pursuit
+from maplp import (
+    FactorGraph,
+    RelaxationSpec,
+    SolverParams,
+    dd_spec,
+    gmplp_spec,
+    intersection_closure,
+    max_intersection_spec,
+    pi_system_spec,
+    pursuit_score,
+    random_grid,
+    run_with_pursuit,
+    stealth_candidates,
+)
+from maplp.pursuit import StealthCandidate, _decoded_projection
+
+from conftest import frustrated_cycle, random_clusters_graph
+
+
+def canonical(clusters):
+    return tuple(sorted(set(clusters), key=lambda c: (len(c), c)))
+
+
+def reference_pairwise_intersections(clusters):
+    cs = list(clusters)
+    out = set()
+    for a, b in combinations(cs, 2):
+        shared = tuple(sorted(set(a) & set(b)))
+        if shared:
+            out.add(shared)
+    out.update(cs)
+    return out
+
+
+def reference_gmplp_spec(graph):
+    cset = graph.clusters
+    inter = reference_pairwise_intersections(cset)
+    subs = {c: tuple(s for s in canonical(inter) if set(s) <= set(c)) for c in cset}
+    return RelaxationSpec(cset, subs)
+
+
+def reference_intersection_closure(clusters):
+    closed = set(clusters)
+    work = list(closed)
+    while work:
+        a = work.pop()
+        for b in list(closed):
+            shared = tuple(sorted(set(a) & set(b)))
+            if shared and shared not in closed:
+                closed.add(shared)
+                work.append(shared)
+    return closed
+
+
+def reference_pi_system_spec(graph):
+    ext = canonical(reference_intersection_closure(graph.clusters))
+    subs = {}
+    for c in ext:
+        inside = [s for s in ext if s != c and set(s) < set(c)]
+        subs[c] = tuple(
+            s for s in inside if not any(t != s and set(s) < set(t) for t in inside)
+        )
+    return RelaxationSpec(ext, subs)
+
+
+def reference_max_intersection_spec(graph):
+    cset = graph.clusters
+    maximal = tuple(c for c in cset if not any(c != d and set(c) < set(d) for d in cset))
+    receivers = set(cset) | reference_pairwise_intersections(maximal)
+    subs = {c: tuple(s for s in canonical(receivers) if set(s) < set(c)) for c in maximal}
+    return RelaxationSpec(maximal, subs)
+
+
+BUILDERS = [
+    (gmplp_spec, reference_gmplp_spec),
+    (pi_system_spec, reference_pi_system_spec),
+    (max_intersection_spec, reference_max_intersection_spec),
+]
+
+
+def assert_same_specs(graph):
+    for builder, reference in BUILDERS:
+        spec, want = builder(graph), reference(graph)
+        assert spec == want, builder.__name__
+        assert spec.extended_clusters == want.extended_clusters, builder.__name__
+    assert intersection_closure(graph.clusters) == reference_intersection_closure(graph.clusters)
+
+
+def test_conftest_graphs_match_reference(chain_of_triples, clique_grid):
+    for graph in (chain_of_triples, clique_grid, frustrated_cycle(0)):
+        assert_same_specs(graph)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sixteen_grid_matches_reference(seed):
+    assert_same_specs(random_grid(16, 16, 3, seed))
+
+
+def test_twelve_variable_instances_match_reference():
+    for seed in range(40):
+        assert_same_specs(random_clusters_graph(seed, max_vars=12))
+
+
+def reference_stealth_candidates(spec, beliefs, *, max_order=pursuit.DEFAULT_UNION_ORDER_CAP):
+    """The candidate search with a scan of the whole support per candidate."""
+    support = spec.support
+    senders = {}
+    for c in spec.extended_clusters:
+        for s in spec.proper_subs_of(c):
+            senders.setdefault(s, []).append(c)
+    common_parent = {
+        frozenset(pair)
+        for c in spec.extended_clusters
+        for pair in combinations(spec.proper_subs_of(c), 2)
+    }
+    best = {}
+    for t, cs in sorted(senders.items()):
+        for c1, c2 in combinations(sorted(cs), 2):
+            if frozenset((c1, c2)) in common_parent:
+                continue
+            if _decoded_projection(beliefs[c1], c1, t) == _decoded_projection(beliefs[c2], c2, t):
+                continue
+            union = tuple(sorted(set(c1) | set(c2)))
+            if len(union) > max_order:
+                continue
+            subs = tuple(s for s in support if s != union and set(s) < set(union))
+            cand = StealthCandidate((c1, c2), t, union, subs, 0.0)
+            score = pursuit_score(beliefs, cand)
+            if union not in best or score > best[union].score:
+                best[union] = StealthCandidate((c1, c2), t, union, subs, score)
+    return sorted(best.values(), key=lambda c: (-c.score, c.union))
+
+
+def checked_pursuit(monkeypatch, graph, params):
+    """Run pursuit, comparing every round's candidates with the reference;
+    returns the number of rounds checked."""
+    rounds = []
+
+    def checked(spec, beliefs, **kwargs):
+        got = stealth_candidates(spec, beliefs, **kwargs)
+        want = reference_stealth_candidates(spec, beliefs, **kwargs)
+        assert [(c.parents, c.shared, c.union, c.sub_clusters, c.score) for c in got] == [
+            (c.parents, c.shared, c.union, c.sub_clusters, c.score) for c in want
+        ]
+        rounds.append(len(got))
+        return got
+
+    monkeypatch.setattr(pursuit, "stealth_candidates", checked)
+    result = run_with_pursuit(graph, dd_spec(graph), params)
+    assert result.closed
+    return len(rounds)
+
+
+def disjoint_cycles(seeds):
+    cards, clusters, tables = [], [], []
+    for seed in seeds:
+        g = frustrated_cycle(seed)
+        offset = len(cards)
+        cards += g.cardinalities
+        for p in g.potentials:
+            clusters.append(tuple(v + offset for v in p.scope))
+            tables.append(p.values)
+    return FactorGraph(cards, clusters, tables)
+
+
+def test_candidates_match_reference_on_cycle_family(monkeypatch):
+    params = SolverParams(max_sweeps=500, pursuit_sweeps=50)
+    for seed in range(5):
+        assert checked_pursuit(monkeypatch, frustrated_cycle(seed), params) >= 1
+    assert checked_pursuit(monkeypatch, disjoint_cycles(range(10)), params) >= 1
+
+
+def test_candidates_match_reference_on_grid(monkeypatch):
+    params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
+    assert checked_pursuit(monkeypatch, random_grid(6, 6, 3, 0), params) >= 2
+

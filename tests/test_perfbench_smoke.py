@@ -1,0 +1,24 @@
+"""The benchmark runs end to end: one short cycles-pursuit run exits 0 with
+every gate passed and reports exactly the end-to-end metrics that
+``BENCHMARK.json`` declares."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cycles_pursuit_smoke():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cycles-pursuit",
+         "--seed", "0", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(result["metrics"]) == [m["name"] for m in declared]

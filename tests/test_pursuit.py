@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import maplp.engine
 from maplp import (
     BeliefState,
+    FactorGraph,
+    InvalidModelError,
     RelaxationSpec,
     SolverParams,
     brute_force_map,
@@ -198,3 +201,19 @@ class TestPursuitLoop:
         assert result.truncated
         assert not result.closed
         assert len(result.assignment) == g.num_vars
+
+    def test_nan_potential_rejected_before_any_sweep(self):
+        g = FactorGraph([2, 2], [(0, 1), (1,)],
+                        [np.array([[0.0, np.nan], [1.0, 0.0]]), np.zeros(2)])
+        for mode in ("beliefs", "messages"):
+            with pytest.raises(InvalidModelError, match=r"cluster 0 \(0, 1\)"):
+                run_with_pursuit(g, dd_spec(g), mode=mode)
+
+    def test_graph_validated_once_across_rounds(self, monkeypatch):
+        calls = []
+        validate = maplp.engine.validate
+        monkeypatch.setattr(maplp.engine, "validate", lambda g: calls.append(g) or validate(g))
+        g = frustrated_cycle(0)
+        result = run_with_pursuit(g, dd_spec(g), SolverParams(max_sweeps=500, pursuit_sweeps=50))
+        assert result.rounds >= 1
+        assert calls == [g]
