@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import diagram as dg
 from . import oracle
-from .engine import SolverParams, run
+from .engine import DualTrace, SolverParams, run
 from .factor_graph import energy, random_grid, validate
-from .io import emit_trace, load_model, merge_traces, save_model
+from .io import emit_trace, load_model, save_model
 from .pursuit import run_with_pursuit
 from .relaxations import (
     all_subsets_spec,
@@ -130,7 +130,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"{alg}: dual={result.dual:.6f} primal={result.primal:.6f} "
               f"gap={result.gap:.2e}")
     if args.trace:
-        emit_trace(merge_traces(traces), args.trace, _trace_fmt(args.trace))
+        merged = DualTrace([r for trace in traces for r in trace.records])
+        emit_trace(merged, args.trace, _trace_fmt(args.trace))
     return 1 if any_truncated else 0
 
 

@@ -129,12 +129,6 @@ class EdgeEquivalenceClasses:
     def classes_for(self, target: Cluster) -> tuple[frozenset[Cluster], ...]:
         return self.by_target[target]
 
-    def class_of(self, target: Cluster, source: Cluster) -> frozenset[Cluster]:
-        for group in self.by_target[target]:
-            if source in group:
-                return group
-        raise KeyError((source, target))
-
 
 def _classes_for_target(diagram: PolytopeDiagram, t: Cluster) -> tuple[frozenset[Cluster], ...]:
     ts = set(t)

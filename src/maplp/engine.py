@@ -13,16 +13,26 @@ cluster, never increases it.  The two modes are:
   clusters, zero elsewhere).
 * ``messages`` -- one table per (cluster, proper sub-cluster) edge, updated
   by the equivalent closed form; beliefs are reconstructed from potentials
-  and messages to evaluate the dual.  Kept for cross-checking and for
-  storage comparisons; both modes produce identical dual traces up to
-  floating-point noise.
+  and messages to evaluate the dual.  Kept as an independent cross-check of
+  belief mode and for storage comparisons; both modes produce identical dual
+  traces up to floating-point noise.
 
 Self sub-clusters (a cluster listed among its own sub-clusters) carry a
 vacuous constraint; they are skipped everywhere and their message is pinned
 to zero.
 
-In belief mode ``run`` compiles the sweep once per call (pursuit re-enters
-with a grown spec and so recompiles):
+Both modes run through one driver: one sweep loop, one trace record per
+sweep, one set of stopping rules (inner tolerance, sweep cap,
+``time_limit``).  The modes differ only in how the state is set up and in
+what one step of a sweep is.  In both, the state's tables are packed (see
+*Packed storage*) and the returned tables are views into the packs.  A
+message-mode sweep is a single step: every message update in insertion
+order, then the beliefs rebuilt into the packs.  It reports no block drop,
+so ``min_update_decrease`` applies to belief mode only and reads 0.0 in
+message mode.
+
+In belief mode the driver compiles the sweep once per call (pursuit
+re-enters with a grown spec and so recompiles) into steps:
 
 * **Levels.** ``level(c) = 1 + max level of the earlier updating clusters
   that share a table with c``.  The updates of one level touch disjoint
@@ -54,6 +64,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -86,9 +97,14 @@ class SolverParams:
     time_limit: float = 3600.0
 
     def __post_init__(self):
+        for name in ("max_sweeps", "pursuit_sweeps", "clusters_per_round"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer")
         for name in ("inner_tol", "outer_tol", "max_sweeps", "pursuit_sweeps",
                      "clusters_per_round", "time_limit"):
-            if getattr(self, name) <= 0:
+            # Written so that NaN, which compares false, is rejected too.
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -140,20 +156,9 @@ class BeliefState:
         return BeliefState({t: v.copy() for t, v in self.tables.items()})
 
 
-class MessageState:
-    """One table per (cluster, proper sub-cluster) edge, over the sub scope."""
-
-    def __init__(self, tables: dict[tuple[Cluster, Cluster], np.ndarray]):
-        self.tables = tables
-
-    def __getitem__(self, edge: tuple[Cluster, Cluster]) -> np.ndarray:
-        return self.tables[edge]
-
-    def __setitem__(self, edge: tuple[Cluster, Cluster], v: np.ndarray) -> None:
-        self.tables[edge] = v
-
-    def copy(self) -> "MessageState":
-        return MessageState({e: v.copy() for e, v in self.tables.items()})
+#: Message-mode state: one table per (cluster, proper sub-cluster) edge, over
+#: the sub scope.
+Messages = dict[tuple[Cluster, Cluster], np.ndarray]
 
 
 def _embed_index(sub: Cluster, sup: Cluster) -> tuple:
@@ -185,12 +190,13 @@ def init_beliefs(graph: FactorGraph, spec: RelaxationSpec) -> BeliefState:
     return BeliefState(tables)
 
 
-def init_messages(spec: RelaxationSpec, cardinalities: Sequence[int]) -> MessageState:
-    tables = {}
-    for c in spec.extended_clusters:
-        for s in spec.proper_subs_of(c):
-            tables[(c, s)] = np.zeros(table_shape(s, cardinalities))
-    return MessageState(tables)
+def init_messages(spec: RelaxationSpec, cardinalities: Sequence[int]) -> Messages:
+    """A zero message on every edge of ``spec``."""
+    return {
+        (c, s): np.zeros(table_shape(s, cardinalities))
+        for c in spec.extended_clusters
+        for s in spec.proper_subs_of(c)
+    }
 
 
 class _Packing:
@@ -419,7 +425,7 @@ class RunResult:
     trace: DualTrace
     beliefs: BeliefState
     assignment: tuple[int, ...]
-    messages: MessageState | None = None
+    messages: Messages | None = None
     converged: bool = False
     truncated: bool = False
     min_update_decrease: float = 0.0
@@ -518,29 +524,19 @@ def run(
     *,
     label: str = "",
     beliefs: BeliefState | None = None,
-    messages: MessageState | None = None,
-    max_sweeps: int | None = None,
-    pursuit_round: int = 0,
-    start_time: float | None = None,
-    sweep_offset: int = 0,
 ) -> RunResult:
     """Sweep the extended clusters until the dual stalls or a cap is hit.
 
-    The keyword arguments allow warm starts (cluster pursuit re-enters with
-    the previous state) and keep trace bookkeeping cumulative across rounds.
-    Returns the trace, final state and decoded assignment.  In belief mode
-    the returned tables (and those of a passed ``beliefs``) are views into
-    storage shared by all tables of one shape.
+    A passed ``beliefs`` warm-starts belief mode.  Returns the trace, final
+    state and decoded assignment.  In both modes the returned tables (and
+    those of a passed ``beliefs``) are views into storage shared by all
+    tables of one shape.
 
     Raises :class:`InvalidModelError` when ``validate(graph)`` reports a
     problem or a passed table has the wrong shape.
     """
     _check_model(graph)
-    return _run(
-        graph, spec, params, mode, label=label, beliefs=beliefs, messages=messages,
-        max_sweeps=max_sweeps, pursuit_round=pursuit_round, start_time=start_time,
-        sweep_offset=sweep_offset,
-    )
+    return _run(graph, spec, params, mode, label=label, beliefs=beliefs)
 
 
 def _check_model(graph: FactorGraph) -> None:
@@ -557,39 +553,52 @@ def _run(
     *,
     label: str = "",
     beliefs: BeliefState | None = None,
-    messages: MessageState | None = None,
+    messages: Messages | None = None,
     max_sweeps: int | None = None,
     pursuit_round: int = 0,
     start_time: float | None = None,
     sweep_offset: int = 0,
 ) -> RunResult:
-    """:func:`run` on a graph already checked by :func:`_check_model`;
-    pursuit re-enters here once per round."""
+    """:func:`run` on a graph already checked by :func:`_check_model`.
+
+    Pursuit re-enters here once per round with its warm state (``beliefs``
+    or ``messages``), its round budget, and the start time and sweep count
+    that keep the trace cumulative across rounds.
+    """
     if params is None:
         params = SolverParams()
     if mode not in ("beliefs", "messages"):
         raise ValueError(f"unknown mode {mode!r}")
     cap = params.max_sweeps if max_sweeps is None else max_sweeps
     t0 = time.perf_counter() if start_time is None else start_time
-    trace = DualTrace()
 
-    if mode == "messages":
-        return _run_messages(
-            graph, spec, params, cap, label, messages, trace, t0,
-            pursuit_round, sweep_offset,
-        )
-
-    min_drop = float("inf")
-    truncated = False
-    converged = False
-    state = beliefs if beliefs is not None else init_beliefs(graph, spec)
-    missing = [t for t in spec.support if t not in state]
-    if missing:
-        raise CoverageError(f"support clusters {missing} have no belief table")
+    if mode == "beliefs":
+        state = beliefs if beliefs is not None else init_beliefs(graph, spec)
+        missing = [t for t in spec.support if t not in state]
+        if missing:
+            raise CoverageError(f"support clusters {missing} have no belief table")
+    else:
+        ctx = _MessageContext(graph, spec)
+        if messages is None:
+            messages = init_messages(spec, graph.cardinalities)
+        for c in graph.clusters:
+            if c not in ctx.theta:
+                raise CoverageError(
+                    f"original cluster {c} has no table under this relaxation"
+                )
+        state = ctx.beliefs(messages)
     packing = _Packing(state.tables, graph.cardinalities)
     for t in packing.rows:
         state.tables[t] = packing.view(t)
-    steps = _compile_sweep(spec, packing, state.tables, graph.cardinalities)
+    if mode == "beliefs":
+        steps = _compile_sweep(spec, packing, state.tables, graph.cardinalities)
+    else:
+        steps = [partial(_message_sweep, messages, ctx, packing)]
+
+    trace = DualTrace()
+    min_drop = float("inf")
+    truncated = False
+    converged = False
     primal = _Primal(graph)
     # Decoding once up front reports a variable in no table before any sweep.
     x = packing.states(graph.num_vars)
@@ -620,6 +629,7 @@ def _run(
         trace=trace,
         beliefs=state,
         assignment=tuple(x),
+        messages=messages,
         converged=converged,
         truncated=truncated,
         min_update_decrease=0.0 if min_drop == float("inf") else min_drop,
@@ -651,35 +661,35 @@ class _MessageContext:
             c: list(spec.proper_subs_of(c)) for c in spec.extended_clusters
         }
 
-    def incoming_sum(self, msgs: MessageState, t: Cluster) -> np.ndarray:
+    def incoming_sum(self, msgs: Messages, t: Cluster) -> np.ndarray:
         total = np.zeros(table_shape(t, self.cards))
         for c in self.senders[t]:
             total += msgs[(c, t)]
         return total
 
-    def outgoing_sum(self, msgs: MessageState, t: Cluster) -> np.ndarray:
+    def outgoing_sum(self, msgs: Messages, t: Cluster) -> np.ndarray:
         """Outgoing messages of ``t`` embedded and summed over ``t``'s scope."""
         total = np.zeros(table_shape(t, self.cards))
         for s in self.outgoing.get(t, ()):
             total += msgs[(t, s)][_embed_index(s, t)]
         return total
 
-    def belief(self, msgs: MessageState, t: Cluster) -> np.ndarray:
+    def belief(self, msgs: Messages, t: Cluster) -> np.ndarray:
         return self.theta[t] + self.incoming_sum(msgs, t) - self.outgoing_sum(msgs, t)
 
-    def beliefs(self, msgs: MessageState) -> BeliefState:
+    def beliefs(self, msgs: Messages) -> BeliefState:
         return BeliefState({t: self.belief(msgs, t) for t in self.support})
 
 
 def update_cluster_messages(
-    messages: MessageState, graph: FactorGraph, spec: RelaxationSpec, c: Cluster
+    messages: Messages, graph: FactorGraph, spec: RelaxationSpec, c: Cluster
 ) -> None:
     """One block update of all messages out of ``c`` (closed form)."""
     ctx = _MessageContext(graph, spec)
     _update_messages(messages, ctx, c)
 
 
-def _update_messages(msgs: MessageState, ctx: _MessageContext, c: Cluster) -> None:
+def _update_messages(msgs: Messages, ctx: _MessageContext, c: Cluster) -> None:
     subs = ctx.outgoing.get(c, ())
     if not subs:
         return
@@ -700,63 +710,14 @@ def _update_messages(msgs: MessageState, ctx: _MessageContext, c: Cluster) -> No
         msgs[(c, s)] = new
 
 
-def _run_messages(
-    graph: FactorGraph,
-    spec: RelaxationSpec,
-    params: SolverParams,
-    cap: int,
-    label: str,
-    messages: MessageState | None,
-    trace: DualTrace,
-    t0: float,
-    pursuit_round: int,
-    sweep_offset: int,
-) -> RunResult:
-    ctx = _MessageContext(graph, spec)
-    msgs = messages if messages is not None else init_messages(spec, graph.cardinalities)
-    for c in graph.clusters:
-        if c not in ctx.theta:
-            raise CoverageError(
-                f"original cluster {c} has no table under this relaxation"
-            )
-    state = ctx.beliefs(msgs)
-    packing = _Packing(state.tables)
-    primal = _Primal(graph)
-    x = packing.states(graph.num_vars)
-    g_prev = packing.dual()
-    converged = False
-    truncated = False
-    for sweep in range(1, cap + 1):
-        for c in spec.extended_clusters:
-            _update_messages(msgs, ctx, c)
-        state = ctx.beliefs(msgs)
-        packing.refill(state.tables)
-        g = packing.dual()
-        x = packing.states(graph.num_vars)
-        trace.append(TraceRecord(
-            sweep=sweep_offset + sweep,
-            seconds=time.perf_counter() - t0,
-            dual=g,
-            primal=primal(x),
-            pursuit_round=pursuit_round,
-            algorithm=label,
-        ))
-        if abs(g - g_prev) < params.inner_tol:
-            converged = True
-            break
-        g_prev = g
-        if time.perf_counter() - t0 > params.time_limit:
-            truncated = True
-            break
-    assignment = tuple(x)
-    return RunResult(
-        trace=trace,
-        beliefs=state,
-        assignment=assignment,
-        messages=msgs,
-        converged=converged,
-        truncated=truncated,
-    )
+def _message_sweep(msgs: Messages, ctx: _MessageContext, packing: _Packing) -> float:
+    """Message mode's whole sweep as one step: every extended cluster in
+    insertion order, then the beliefs rebuilt into the packs.  Reports no
+    block drop."""
+    for c in ctx.spec.extended_clusters:
+        _update_messages(msgs, ctx, c)
+    packing.refill(ctx.beliefs(msgs).tables)
+    return float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import io as _io
 import json
 import math
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -240,9 +239,3 @@ def load_trace(path: str | Path) -> DualTrace:
         ))
     return trace
 
-
-def merge_traces(traces: Iterable[DualTrace]) -> DualTrace:
-    merged = DualTrace()
-    for t in traces:
-        merged.records.extend(t.records)
-    return merged

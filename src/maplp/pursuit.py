@@ -22,7 +22,7 @@ import numpy as np
 from .engine import (
     BeliefState,
     DualTrace,
-    MessageState,
+    Messages,
     SolverParams,
     _check_model,
     _embed_index,
@@ -198,7 +198,7 @@ def run_with_pursuit(
     trace = DualTrace()
     current = spec
     beliefs: BeliefState | None = None
-    messages: MessageState | None = None
+    messages: Messages | None = None
     rounds = 0
     truncated = False
     sweeps_done = 0
@@ -263,8 +263,7 @@ def run_with_pursuit(
                 )
         if messages is not None:
             fresh = init_messages(current, graph.cardinalities)
-            for edge, table in messages.tables.items():
-                fresh.tables[edge] = table
+            fresh.update(messages)
             messages = fresh
 
     return PursuitResult(

@@ -1,8 +1,11 @@
 """Solver updates, dual bookkeeping, decoding and storage accounting."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import maplp
 from maplp import (
     BeliefState,
     CoverageError,
@@ -127,7 +130,7 @@ class TestMessageUpdates:
         spec = dd_spec(g)
         msgs = init_messages(spec, g.cardinalities)
         update_cluster_messages(msgs, g, spec, (0, 1, 2))
-        for table in msgs.tables.values():
+        for table in msgs.values():
             np.testing.assert_array_equal(table, 0.0)
 
     def test_beliefs_from_messages_match_belief_update(self):
@@ -287,6 +290,41 @@ class TestInputErrors:
         del beliefs.tables[(4,)]
         with pytest.raises(CoverageError):
             run(g, spec, beliefs=beliefs)
+
+
+class TestSolverParams:
+    @pytest.mark.parametrize("name", ["inner_tol", "outer_tol", "max_sweeps",
+                                      "pursuit_sweeps", "clusters_per_round",
+                                      "time_limit"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SolverParams(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["max_sweeps", "pursuit_sweeps",
+                                      "clusters_per_round"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverParams(**{name: value})
+
+    def test_unbounded_time_limit_and_numpy_counts_accepted(self, chain_of_triples_random):
+        g = chain_of_triples_random
+        params = SolverParams(time_limit=float("inf"), max_sweeps=np.int64(3))
+        r = run(g, dd_spec(g), params)
+        assert 1 <= len(r.trace) <= 3 and not r.truncated
+
+
+def test_public_api_surface():
+    for name in maplp.__all__:
+        assert getattr(maplp, name) is not None, name
+    for gone in ("MessageState", "merge_traces"):
+        assert gone not in maplp.__all__ and not hasattr(maplp, gone)
+    assert not hasattr(maplp.engine, "MessageState")
+    assert not hasattr(maplp.io, "merge_traces")
+    assert not hasattr(maplp.EdgeEquivalenceClasses, "class_of")
+    assert list(inspect.signature(run).parameters) == [
+        "graph", "spec", "params", "mode", "label", "beliefs",
+    ]
 
 
 class TestFixedPointConsistency:

@@ -223,6 +223,16 @@ class TestCli:
         assert code == 2
         assert "cluster 0 (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--tg", "--ta", "--time-limit"])
+    def test_nan_solver_setting_is_exit_2(self, tmp_path, capsys, flag):
+        model = tmp_path / "grid.json"
+        cli_main(["generate", "--grid", "3x3", "--states", "2", "--seed", "0",
+                  "--out", str(model)])
+        code = cli_main(["solve", "--model", str(model), "--alg", "dd",
+                         flag, "nan", "--k1", "300"])
+        assert code == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_compare_merges_algorithm_labels(self, tmp_path):
         model = tmp_path / "grid.json"
         cli_main(["generate", "--grid", "3x3", "--states", "2", "--seed", "1",
