@@ -22,7 +22,7 @@ incoming edges fall into a single equivalence class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .factor_graph import Cluster
 from .relaxations import RelaxationSpec
@@ -53,15 +53,13 @@ class PolytopeDiagram:
         if not self.anchor_clusters <= self.nodes:
             raise DiagramError("anchor clusters must be diagram nodes")
 
-    def incoming(self, t: Cluster, include_self: bool = False) -> list[Cluster]:
-        return sorted(
-            c for c, s in self.edges if s == t and (include_self or c != t)
-        )
+    def incoming(self, t: Cluster) -> list[Cluster]:
+        """Sources of the non-self edges into ``t``, sorted."""
+        return sorted(c for c, s in self.edges if s == t and c != t)
 
-    def outgoing(self, c: Cluster, include_self: bool = False) -> list[Cluster]:
-        return sorted(
-            s for cc, s in self.edges if cc == c and (include_self or s != c)
-        )
+    def outgoing(self, c: Cluster) -> list[Cluster]:
+        """Targets of the non-self edges out of ``c``, sorted."""
+        return sorted(s for cc, s in self.edges if cc == c and s != c)
 
 
 def diagram_from_relaxation(
@@ -118,18 +116,6 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-@dataclass
-class EdgeEquivalenceClasses:
-    """Per target node: a partition of all candidate senders (every node that
-    strictly contains the target) into equivalence classes.  Edges present in
-    the diagram and merely candidate edges are classified alike."""
-
-    by_target: dict[Cluster, tuple[frozenset[Cluster], ...]] = field(default_factory=dict)
-
-    def classes_for(self, target: Cluster) -> tuple[frozenset[Cluster], ...]:
-        return self.by_target[target]
-
-
 def _classes_for_target(diagram: PolytopeDiagram, t: Cluster) -> tuple[frozenset[Cluster], ...]:
     ts = set(t)
     senders = [v for v in diagram.nodes if ts < set(v)]
@@ -159,18 +145,20 @@ def _classes_for_target(diagram: PolytopeDiagram, t: Cluster) -> tuple[frozenset
 
 def equivalent_edge_classes(
     diagram: PolytopeDiagram, targets: set[Cluster] | None = None
-) -> EdgeEquivalenceClasses:
-    """Partition the (existing and candidate) edges into each target node.
+) -> dict[Cluster, tuple[frozenset[Cluster], ...]]:
+    """Per target node: a partition of all candidate senders (every node that
+    strictly contains the target) into equivalence classes.  Edges present in
+    the diagram and merely candidate edges are classified alike.
 
     Self-edges are vacuous constraints and are excluded from classification.
     """
     if targets is None:
         targets = set(diagram.nodes)
-    out = EdgeEquivalenceClasses()
+    out: dict[Cluster, tuple[frozenset[Cluster], ...]] = {}
     for t in targets:
         if t not in diagram.nodes:
             raise DiagramError(f"target {t} is not a diagram node")
-        out.by_target[t] = _classes_for_target(diagram, t)
+        out[t] = _classes_for_target(diagram, t)
     return out
 
 
@@ -179,39 +167,37 @@ def equivalent_edge_classes(
 # ---------------------------------------------------------------------------
 
 
+def _is_redundant(diagram: PolytopeDiagram, v: Cluster) -> bool:
+    """The one redundancy test, shared by :func:`redundant_nodes` and
+    :func:`remove_node`."""
+    if v in diagram.anchor_clusters:
+        return False
+    inc = diagram.incoming(v)
+    if len(inc) <= 1:
+        return len(inc) == 1
+    return any(set(inc) <= group for group in _classes_for_target(diagram, v))
+
+
 def redundant_nodes(diagram: PolytopeDiagram) -> set[Cluster]:
     """Non-anchor nodes whose removal provably keeps the polytope: a single
     (non-self) incoming edge, or all incoming edges in one equivalence class.
     Nodes with no incoming edges are not reported; with two or more
     receive-only constraints removed, mass-consistency between the receivers
     would be lost."""
-    out: set[Cluster] = set()
-    for v in diagram.nodes:
-        if v in diagram.anchor_clusters:
-            continue
-        inc = diagram.incoming(v)
-        if len(inc) == 1:
-            out.add(v)
-        elif len(inc) > 1:
-            classes = _classes_for_target(diagram, v)
-            for group in classes:
-                if all(c in group for c in inc):
-                    out.add(v)
-                    break
-    return out
+    return {v for v in diagram.nodes if _is_redundant(diagram, v)}
 
 
 def remove_node(diagram: PolytopeDiagram, v: Cluster) -> PolytopeDiagram:
     """Delete a certified-redundant node, splicing paths through it.
 
-    Refuses anchors and nodes not reported by :func:`redundant_nodes`;
+    Refuses anchors and nodes :func:`redundant_nodes` would not report;
     silently loosening the polytope is the one unacceptable failure here.
     """
     if v in diagram.anchor_clusters:
         raise DiagramError(f"node {v} is an anchor cluster and cannot be removed")
     if v not in diagram.nodes:
         raise DiagramError(f"node {v} is not in the diagram")
-    if v not in redundant_nodes(diagram):
+    if not _is_redundant(diagram, v):
         raise DiagramError(f"node {v} is not certified redundant")
     inc = diagram.incoming(v)
     outg = diagram.outgoing(v)

@@ -120,19 +120,19 @@ def constraint_system(
             continue
         if not set(s) <= set(c):
             raise DiagramError(f"invalid edge {c}->{s}")
-        c_shape = table_shape(c, cardinalities)
-        s_positions = [c.index(v) for v in s]
-        s_shape = table_shape(s, cardinalities)
-        buckets: dict[int, list[tuple[int, int]]] = {
-            i: [] for i in range(table_cells(s, cardinalities))
-        }
-        for flat_c in range(table_cells(c, cardinalities)):
-            conf = np.unravel_index(flat_c, c_shape)
-            s_conf = tuple(int(conf[p]) for p in s_positions)
-            flat_s = int(np.ravel_multi_index(s_conf, s_shape)) if s_shape else 0
-            buckets[flat_s].append((offsets[c] + flat_c, 1))
-        for flat_s, cols in buckets.items():
-            rows.append(tuple(cols) + ((offsets[s] + flat_s, -1),))
+        conf = np.unravel_index(
+            np.arange(table_cells(c, cardinalities)), table_shape(c, cardinalities)
+        )
+        flat_s = np.ravel_multi_index(
+            [conf[c.index(v)] for v in s], table_shape(s, cardinalities)
+        )
+        buckets: list[list[tuple[int, int]]] = [
+            [] for _ in range(table_cells(s, cardinalities))
+        ]
+        for flat_c, i in enumerate(flat_s.tolist()):
+            buckets[i].append((offsets[c] + flat_c, 1))
+        for i, cols in enumerate(buckets):
+            rows.append(tuple(cols) + ((offsets[s] + i, -1),))
     return AffineConstraintSystem(
         tuple(variable_index), tuple(rows), diagram.anchor_clusters
     )
@@ -195,25 +195,22 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def copy(self) -> "_Echelon":
-        other = _Echelon()
-        other.pivots = {c: dict(r) for c, r in self.pivots.items()}
-        return other
 
-
-def _projected_rows(
+def _projected(
     system: AffineConstraintSystem, column_of: dict[tuple[Cluster, int], int], n_exclusive: int
-) -> list[dict[int, int]]:
+) -> _Echelon:
     """Row space of the system with its exclusive variables eliminated.
 
     Columns are globally ordered with exclusive variables first; echelon rows
     whose pivot falls in the shared region have no support on the exclusive
-    columns and span exactly the projected constraint space.
+    columns and span exactly the projected constraint space.  Those rows keep
+    distinct leading columns, so they are already an echelon basis.
     """
     ech = _Echelon()
     for row in system.rows:
         ech.add_row({column_of[system.variable_index[c]]: v for c, v in row})
-    return [dict(r) for col, r in ech.pivots.items() if col >= n_exclusive]
+    ech.pivots = {col: r for col, r in ech.pivots.items() if col >= n_exclusive}
+    return ech
 
 
 def _comparison_context(a: AffineConstraintSystem, b: AffineConstraintSystem):
@@ -234,39 +231,28 @@ def _comparison_context(a: AffineConstraintSystem, b: AffineConstraintSystem):
         (k for k in keys_a & keys_b), key=lambda k: (len(k[0]), k[0], k[1])
     )
     column_of = {k: i for i, k in enumerate(excl_keys + shared_keys)}
-    rows_a = _projected_rows(a, column_of, len(excl_keys))
-    rows_b = _projected_rows(b, column_of, len(excl_keys))
-    return rows_a, rows_b
+    return (
+        _projected(a, column_of, len(excl_keys)),
+        _projected(b, column_of, len(excl_keys)),
+    )
+
+
+def _contains(ech_a: _Echelon, ech_b: _Echelon) -> bool:
+    """Every row of ``ech_b`` reduces to zero against ``ech_a``.  Reduction
+    stops at the first independent row, the only one that changes ``ech_a``."""
+    return not any(ech_a.add_row(r) for r in ech_b.pivots.values())
 
 
 def affine_system_equal(a: AffineConstraintSystem, b: AffineConstraintSystem) -> bool:
     """True iff the two equality systems describe the same solution set
-    (after projecting out any one-sided non-anchor variables): the two row
-    spaces and their union must share one rank."""
-    rows_a, rows_b = _comparison_context(a, b)
-    ech_a = _Echelon()
-    for r in rows_a:
-        ech_a.add_row(dict(r))
-    ech_b = _Echelon()
-    for r in rows_b:
-        ech_b.add_row(dict(r))
-    if ech_a.rank != ech_b.rank:
-        return False
-    both = ech_a.copy()
-    for r in rows_b:
-        if both.add_row(dict(r)):
-            return False
-    return True
+    (after projecting out any one-sided non-anchor variables): equal ranks,
+    and b's row space inside a's."""
+    ech_a, ech_b = _comparison_context(a, b)
+    return ech_a.rank == ech_b.rank and _contains(ech_a, ech_b)
 
 
 def affine_system_implies(a: AffineConstraintSystem, b: AffineConstraintSystem) -> bool:
     """True iff every solution of ``a`` satisfies ``b`` (b's rows lie in a's
     row space after projection)."""
-    rows_a, rows_b = _comparison_context(a, b)
-    ech = _Echelon()
-    for r in rows_a:
-        ech.add_row(dict(r))
-    for r in rows_b:
-        if ech.add_row(dict(r)):
-            return False
-    return True
+    ech_a, ech_b = _comparison_context(a, b)
+    return _contains(ech_a, ech_b)

@@ -95,7 +95,7 @@ class TestConversions:
 class TestEdgeEquivalence:
     def test_chain_edges_into_singleton_form_one_class(self):
         d = middle_chain_diagram()
-        classes = equivalent_edge_classes(d, {(2,)}).classes_for((2,))
+        classes = equivalent_edge_classes(d, {(2,)})[(2,)]
         assert len(classes) == 1
         assert classes[0] == frozenset(
             {(0, 1, 2), (1, 2, 3), (2, 3, 4), (1, 2), (2, 3)}
@@ -107,7 +107,7 @@ class TestEdgeEquivalence:
             frozenset({((0, 1), (0,))}),
             frozenset(),
         )
-        classes = equivalent_edge_classes(d, {(0,)}).classes_for((0,))
+        classes = equivalent_edge_classes(d, {(0,)})[(0,)]
         assert classes == (frozenset({(0, 1)}),)
 
     def test_chain_rule_certified_by_rank_oracle(self):
@@ -121,7 +121,7 @@ class TestEdgeEquivalence:
         with_short = PolytopeDiagram(
             frozenset(nodes), frozenset(base | {((0, 1), (0,))}), frozenset()
         )
-        classes = equivalent_edge_classes(with_long, {(0,)}).classes_for((0,))
+        classes = equivalent_edge_classes(with_long, {(0,)})[(0,)]
         assert frozenset({(0, 1, 2), (0, 1)}) in classes
         assert affine_system_equal(
             constraint_system(with_long, [2, 2, 2]),
@@ -132,7 +132,7 @@ class TestEdgeEquivalence:
         d = diagram_from_relaxation(all_subsets_spec(clique_grid), clique_grid.clusters)
         eq = equivalent_edge_classes(d)
         for t in d.nodes:
-            groups = eq.classes_for(t)
+            groups = eq[t]
             union = set()
             for g in groups:
                 assert not (union & g)

@@ -317,11 +317,11 @@ class TestSolverParams:
 def test_public_api_surface():
     for name in maplp.__all__:
         assert getattr(maplp, name) is not None, name
-    for gone in ("MessageState", "merge_traces"):
+    for gone in ("MessageState", "merge_traces", "EdgeEquivalenceClasses"):
         assert gone not in maplp.__all__ and not hasattr(maplp, gone)
     assert not hasattr(maplp.engine, "MessageState")
     assert not hasattr(maplp.io, "merge_traces")
-    assert not hasattr(maplp.EdgeEquivalenceClasses, "class_of")
+    assert not hasattr(maplp.diagram, "EdgeEquivalenceClasses")
     assert list(inspect.signature(run).parameters) == [
         "graph", "spec", "params", "mode", "label", "beliefs",
     ]

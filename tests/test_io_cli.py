@@ -1,5 +1,6 @@
 """File formats and the command line interface."""
 
+import itertools
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from maplp import (
     DualTrace,
+    FactorGraph,
     ParseError,
     TraceRecord,
     emit_trace,
@@ -255,6 +257,35 @@ class TestCli:
         assert code == 0
         assert "FAIL" not in out
         assert "weak duality" in out
+
+    @pytest.mark.parametrize("cards, clusters, cap", [
+        # 70 four-variable clusters of 4 states: 21,984 oracle variables
+        ([4] * 8, list(itertools.combinations(range(8), 4)), "oracle cap of 20000"),
+        # one 7-variable cluster: above all_subsets_spec's order cap
+        ([2] * 7, [tuple(range(7))], "order 7 > cap 6"),
+    ])
+    def test_verify_beyond_oracle_caps_is_exit_1(self, tmp_path, capsys,
+                                                 cards, clusters, cap):
+        rng = np.random.default_rng(0)
+        tables = [rng.normal(size=[cards[v] for v in c]) for c in clusters]
+        model = tmp_path / "big.json"
+        save_model(FactorGraph(cards, clusters, tables), model)
+        code = cli_main(["verify", "--model", str(model), "--k1", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "PASS: dd weak duality" in captured.out
+        assert "diagram equivalent" not in captured.out
+        assert "cannot certify diagrams" in captured.err and cap in captured.err
+
+    def test_verify_invalid_model_is_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({
+            "format": "maplp-model", "version": 1, "cardinalities": [2, 2],
+            "clusters": [[0, 1]], "log_potentials": [[0.0, float("nan"), 1.0, 0.0]],
+        }))
+        code = cli_main(["verify", "--model", str(model)])
+        assert code == 2
+        assert "cluster 0 (0, 1)" in capsys.readouterr().err
 
     def test_solve_pursuit_on_uai_model(self, tmp_path):
         # UAI weights are exp(potential); a perturbed frustrated cycle in

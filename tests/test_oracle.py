@@ -12,14 +12,24 @@ from maplp import (
     XorShift64Star,
     affine_system_equal,
     affine_system_implies,
+    all_subsets_spec,
     brute_force_map,
     constraint_system,
+    dd_spec,
+    diagram_from_relaxation,
     energy,
+    gmplp_spec,
+    powerset_spec,
     random_grid,
+    redundant_nodes,
+    reduce_edges,
+    remove_node,
+    table_cells,
+    table_shape,
 )
 from maplp.oracle import AffineConstraintSystem
 
-from conftest import random_clusters_graph
+from conftest import CHAIN_CLUSTERS, build_graph, random_clusters_graph
 
 
 def slow_reference_map(graph):
@@ -129,6 +139,49 @@ class TestConstraintSystem:
         assert len(sys.rows) == expected
 
 
+def reference_constraint_system(diagram, cardinalities):
+    """The per-cell row build: one unravel/ravel pair per source cell."""
+    nodes = sorted(diagram.nodes, key=lambda c: (len(c), c))
+    offsets, variable_index = {}, []
+    for t in nodes:
+        offsets[t] = len(variable_index)
+        variable_index.extend((t, i) for i in range(table_cells(t, cardinalities)))
+    rows = []
+    for c, s in sorted(diagram.edges, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1])):
+        if c == s:
+            continue
+        s_shape = table_shape(s, cardinalities)
+        buckets = {i: [] for i in range(table_cells(s, cardinalities))}
+        for flat_c in range(table_cells(c, cardinalities)):
+            conf = np.unravel_index(flat_c, table_shape(c, cardinalities))
+            s_conf = tuple(int(conf[c.index(v)]) for v in s)
+            buckets[int(np.ravel_multi_index(s_conf, s_shape))].append(
+                (offsets[c] + flat_c, 1)
+            )
+        for flat_s, cols in buckets.items():
+            rows.append(tuple(cols) + ((offsets[s] + flat_s, -1),))
+    return tuple(variable_index), tuple(rows)
+
+
+class TestConstraintSystemReference:
+    @pytest.mark.parametrize("cards", [[2, 3, 2, 2, 3], [3] * 5])
+    def test_rows_match_per_cell_build(self, cards):
+        g = build_graph(cards, CHAIN_CLUSTERS)
+        base = diagram_from_relaxation(all_subsets_spec(g), g.clusters)
+        diagrams = [
+            diagram_from_relaxation(builder(g), g.clusters)
+            for builder in (all_subsets_spec, powerset_spec, gmplp_spec, dd_spec)
+        ]
+        diagrams.append(reduce_edges(base))
+        diagrams += [remove_node(base, v) for v in sorted(redundant_nodes(base))]
+        assert len(diagrams) > 5
+        for d in diagrams:
+            sys = constraint_system(d, g.cardinalities)
+            assert (sys.variable_index, sys.rows) == reference_constraint_system(
+                d, g.cardinalities
+            )
+
+
 def random_system(seed, n_vars=6, n_rows=8):
     rng = XorShift64Star(seed)
     rows = []
@@ -171,6 +224,38 @@ class TestAffineEquality:
         assert not affine_system_equal(a, b)
         assert affine_system_implies(b, a)
         assert not affine_system_implies(a, b)
+
+    def test_equal_rank_different_row_spaces(self):
+        # x0 = x1 against x1 = x2: rank 1 each, different solution sets
+        index = tuple(((0,), i) for i in range(3))
+        a = AffineConstraintSystem(index, (((0, 1), (1, -1)),))
+        b = AffineConstraintSystem(index, (((1, 1), (2, -1)),))
+        assert not affine_system_equal(a, b)
+        assert not affine_system_implies(a, b)
+        assert not affine_system_implies(b, a)
+
+    def test_equal_rank_different_row_spaces_after_projection(self):
+        # a reaches x0 = x1 through a variable of node (9,), which only a
+        # has, so it is projected out before the comparison
+        shared = tuple(((0,), i) for i in range(3))
+        a = AffineConstraintSystem(
+            shared + (((9,), 0),), (((0, 1), (3, -1)), ((3, 1), (1, -1))),
+            frozenset({(0,)}),
+        )
+        b = AffineConstraintSystem(shared, (((1, 1), (2, -1)),), frozenset({(0,)}))
+        for x, y in ((a, b), (b, a)):
+            assert not affine_system_equal(x, y)
+            assert not affine_system_implies(x, y)
+        same = AffineConstraintSystem(shared, (((0, 1), (1, -1)),), frozenset({(0,)}))
+        assert affine_system_equal(a, same) and affine_system_equal(same, a)
+
+    def test_equal_is_implication_both_ways(self):
+        systems = [random_system(s) for s in range(8)]
+        for a in systems:
+            for b in systems:
+                assert affine_system_equal(a, b) == (
+                    affine_system_implies(a, b) and affine_system_implies(b, a)
+                )
 
     def test_equivalence_relation_on_random_systems(self):
         systems = [random_system(s) for s in range(8)]
