@@ -14,13 +14,26 @@ Only the equality subspace is compared: the equivalence arguments behind the
 reductions operate on the marginalisation equalities, so normalisation and
 nonnegativity rows are deliberately out of scope here.  When two systems
 mention different node sets, variables exclusive to one side are allowed only
-for non-anchor nodes and are projected out (eliminated first) before the row
-spaces are compared; an anchor variable missing from either side is an error.
+for non-anchor nodes and are projected out before the row spaces are
+compared; an anchor variable missing from either side, or a node with a
+different number of cells on the two sides, is an error.
+
+Each system is eliminated once, in its canonical ``(len(cluster), cluster,
+cell)`` column order, and the echelon is cached on the system.  When ``b``'s
+variables are a subset of ``a``'s (every reduction checked against its
+unreduced diagram), no pair-specific elimination is needed: with ``X`` the
+variables only ``a`` has, projecting ``X`` out of ``a`` leaves a space of
+dimension ``rank(a) - rank(a_X)``, so ``b`` equals it exactly when
+``rank(b)`` is that number and ``b``'s rows reduce to zero against ``a``'s
+echelon.  Systems with variables exclusive to both sides still take the
+general path: both are eliminated in one pair-specific order with the
+exclusive variables first, whose pivots are then dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
@@ -75,6 +88,10 @@ def brute_force_map(graph: FactorGraph, cap: int = BRUTE_FORCE_CAP) -> MapSoluti
 # ---------------------------------------------------------------------------
 
 
+def _canonical(key: tuple[Cluster, int]) -> tuple:
+    return (len(key[0]), key[0], key[1])
+
+
 @dataclass(frozen=True)
 class AffineConstraintSystem:
     """Homogeneous marginalisation equations of a diagram.
@@ -85,6 +102,9 @@ class AffineConstraintSystem:
     plus/minus one; the right-hand side is identically zero.  ``anchors``
     records which clusters are original model clusters (their variables may
     never be projected away during comparisons).
+
+    The system's echelon form is computed on first use and kept on the
+    instance, so it lives exactly as long as the system does.
     """
 
     variable_index: tuple[tuple[Cluster, int], ...]
@@ -93,7 +113,32 @@ class AffineConstraintSystem:
 
     @property
     def nodes(self) -> set[Cluster]:
-        return {t for t, _ in self.variable_index}
+        return set(self._cells)
+
+    @cached_property
+    def _cells(self) -> dict[Cluster, int]:
+        """Number of variables (table cells) of each node."""
+        cells: dict[Cluster, int] = {}
+        for t, _ in self.variable_index:
+            cells[t] = cells.get(t, 0) + 1
+        return cells
+
+    @cached_property
+    def _columns(self) -> dict[tuple[Cluster, int], int]:
+        """Each variable's column in the canonical ``(len(cluster), cluster,
+        cell)`` order; iteration follows that order."""
+        order = sorted(self.variable_index, key=_canonical)
+        return {k: i for i, k in enumerate(order)}
+
+    @cached_property
+    def _echelon(self) -> _Echelon:
+        """The rows eliminated once, in canonical column order.  Only
+        :meth:`_Echelon.reduces_to_zero` may touch it afterwards."""
+        local = [self._columns[k] for k in self.variable_index]
+        ech = _Echelon()
+        for row in self.rows:
+            ech.add_row({local[c]: v for c, v in row})
+        return ech
 
 
 def constraint_system(
@@ -101,11 +146,19 @@ def constraint_system(
 ) -> AffineConstraintSystem:
     """One equation per (edge, target configuration): the entries of the
     source table consistent with the target configuration sum to the target
-    entry.  Self-edges are vacuous (the two sides cancel) and emit no rows."""
+    entry.  Self-edges are vacuous (the two sides cancel) and emit no rows.
+
+    Raises ``ValueError`` naming the first node with a variable that has no
+    positive cardinality in ``cardinalities``."""
     nodes = sorted(diagram.nodes, key=lambda c: (len(c), c))
     offsets: dict[Cluster, int] = {}
     variable_index: list[tuple[Cluster, int]] = []
     for t in nodes:
+        if not all(0 <= v < len(cardinalities) and cardinalities[v] > 0 for v in t):
+            raise ValueError(
+                f"node {t} has a variable without a positive cardinality "
+                f"among {len(cardinalities)} cardinalities"
+            )
         offsets[t] = len(variable_index)
         variable_index.extend((t, i) for i in range(table_cells(t, cardinalities)))
     if len(variable_index) > MAX_ORACLE_VARIABLES:
@@ -146,54 +199,103 @@ def constraint_system(
 class _Echelon:
     """Incremental fraction-free row reduction over the integers.
 
-    Rows are sparse ``{column: int}`` maps.  Eliminating with integer
-    cross-multiples and re-dividing by the row gcd keeps everything exact, so
-    ranks are exact ranks over the rationals.
+    Rows are sparse ``{column: int}`` maps, reduced in place on a copy.
+    Eliminating with integer cross-multiples and re-dividing by the row gcd
+    keeps everything exact, so ranks are exact ranks over the rationals.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
 
-    @staticmethod
-    def _normalise(row: dict[int, int]) -> dict[int, int]:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        lead = row[min(row)]
-        if lead < 0:
-            g = -g
-        return {c: v // g for c, v in row.items()}
-
-    def add_row(self, row: dict[int, int]) -> bool:
-        """Reduce ``row`` against current pivots; returns True when it adds
-        a new pivot (i.e. was independent)."""
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """A copy of ``row`` reduced until its leading column has no pivot;
+        empty when ``row`` lies in the span of the pivots."""
         row = {c: v for c, v in row.items() if v != 0}
+        pivots = self.pivots
         while row:
             col = min(row)
-            piv = self.pivots.get(col)
+            piv = pivots.get(col)
             if piv is None:
-                row = self._normalise(row)
-                self.pivots[col] = row
-                return True
+                break
             a = row[col]
             b = piv[col]
             g = gcd(a, b)
             ma, mb = b // g, a // g
-            new: dict[int, int] = {}
-            for c, v in row.items():
-                new[c] = v * ma
+            if ma != 1:
+                for c in row:
+                    row[c] *= ma
             for c, v in piv.items():
-                w = new.get(c, 0) - v * mb
+                w = row.get(c, 0) - v * mb
                 if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            row = new
-        return False
+                    row[c] = w
+                else:
+                    del row[c]
+        return row
+
+    def add_row(self, row: dict[int, int]) -> bool:
+        """Reduce ``row`` against current pivots; returns True when it adds
+        a new pivot (i.e. was independent)."""
+        row = self._reduce(row)
+        if not row:
+            return False
+        col = min(row)
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        if row[col] < 0:
+            g = -g
+        self.pivots[col] = {c: v // g for c, v in row.items()}
+        return True
+
+    def reduces_to_zero(self, row: dict[int, int]) -> bool:
+        """True when ``row`` lies in the span of the pivots; never adds one."""
+        return not self._reduce(row)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+def _check_comparable(a: AffineConstraintSystem, b: AffineConstraintSystem) -> None:
+    """Anchors on both sides, and equal cell counts for every shared node."""
+    cells_a, cells_b = a._cells, b._cells
+    bad = (cells_a.keys() ^ cells_b.keys()) & (a.anchors | b.anchors)
+    if bad:
+        raise ValueError(
+            f"anchor clusters {sorted(bad)} must appear in both systems"
+        )
+    for t in sorted(cells_a.keys() & cells_b.keys(), key=lambda c: (len(c), c)):
+        if cells_a[t] != cells_b[t]:
+            raise ValueError(
+                f"node {t} has {cells_a[t]} cells in one system and "
+                f"{cells_b[t]} in the other; were they built with the same "
+                f"cardinalities?"
+            )
+
+
+def _rank_on(system: AffineConstraintSystem, keys: set[tuple[Cluster, int]]) -> int:
+    """Rank of the system's rows restricted to the variables ``keys``."""
+    cols = system._columns
+    local = [cols[k] if k in keys else None for k in system.variable_index]
+    ech = _Echelon()
+    for row in system.rows:
+        if ech.rank == len(keys):
+            break
+        ech.add_row({local[c]: v for c, v in row if local[c] is not None})
+    return ech.rank
+
+
+def _contains(ech: _Echelon, rows) -> bool:
+    """Every row reduces to zero against ``ech``, which is left as it is."""
+    return all(ech.reduces_to_zero(r) for r in rows)
+
+
+def _rows_in(b: AffineConstraintSystem, a: AffineConstraintSystem):
+    """``b``'s pivot rows in ``a``'s canonical columns (``b``'s variables
+    must all be ``a``'s)."""
+    to_a = [a._columns[k] for k in b._columns]
+    for row in b._echelon.pivots.values():
+        yield {to_a[c]: v for c, v in row.items()}
 
 
 def _projected(
@@ -214,22 +316,11 @@ def _projected(
 
 
 def _comparison_context(a: AffineConstraintSystem, b: AffineConstraintSystem):
-    nodes_a, nodes_b = a.nodes, b.nodes
-    anchors = a.anchors | b.anchors
-    exclusive = (nodes_a ^ nodes_b)
-    bad = exclusive & anchors
-    if bad:
-        raise ValueError(
-            f"anchor clusters {sorted(bad)} must appear in both systems"
-        )
-    keys_a = set(a.variable_index)
-    keys_b = set(b.variable_index)
-    excl_keys = sorted(
-        (k for k in keys_a ^ keys_b), key=lambda k: (len(k[0]), k[0], k[1])
-    )
-    shared_keys = sorted(
-        (k for k in keys_a & keys_b), key=lambda k: (len(k[0]), k[0], k[1])
-    )
+    """Both systems eliminated in one pair-specific column order, with the
+    variables only one side has first and then projected out."""
+    keys_a, keys_b = a._columns.keys(), b._columns.keys()
+    excl_keys = sorted(keys_a ^ keys_b, key=_canonical)
+    shared_keys = sorted(keys_a & keys_b, key=_canonical)
     column_of = {k: i for i, k in enumerate(excl_keys + shared_keys)}
     return (
         _projected(a, column_of, len(excl_keys)),
@@ -237,22 +328,34 @@ def _comparison_context(a: AffineConstraintSystem, b: AffineConstraintSystem):
     )
 
 
-def _contains(ech_a: _Echelon, ech_b: _Echelon) -> bool:
-    """Every row of ``ech_b`` reduces to zero against ``ech_a``.  Reduction
-    stops at the first independent row, the only one that changes ``ech_a``."""
-    return not any(ech_a.add_row(r) for r in ech_b.pivots.values())
-
-
 def affine_system_equal(a: AffineConstraintSystem, b: AffineConstraintSystem) -> bool:
     """True iff the two equality systems describe the same solution set
     (after projecting out any one-sided non-anchor variables): equal ranks,
-    and b's row space inside a's."""
+    and b's row space inside a's.
+
+    When one side's variables are a subset of the other's, say ``b``'s of
+    ``a``'s with ``X`` the variables only ``a`` has, projecting ``X`` out of
+    ``a`` leaves a space of dimension ``rank(a) - rank(a_X)``, ``a_X`` being
+    ``a``'s rows restricted to ``X``.  ``b`` is then compared against that
+    rank and against ``a``'s cached echelon, with no pair-specific
+    elimination."""
+    _check_comparable(a, b)
+    keys_a, keys_b = a._columns.keys(), b._columns.keys()
+    if keys_a <= keys_b:
+        a, b, keys_a, keys_b = b, a, keys_b, keys_a
+    if keys_b <= keys_a:
+        projected_rank = a._echelon.rank - _rank_on(a, keys_a - keys_b)
+        return b._echelon.rank == projected_rank and _contains(a._echelon, _rows_in(b, a))
     ech_a, ech_b = _comparison_context(a, b)
-    return ech_a.rank == ech_b.rank and _contains(ech_a, ech_b)
+    return ech_a.rank == ech_b.rank and _contains(ech_a, ech_b.pivots.values())
 
 
 def affine_system_implies(a: AffineConstraintSystem, b: AffineConstraintSystem) -> bool:
     """True iff every solution of ``a`` satisfies ``b`` (b's rows lie in a's
-    row space after projection)."""
+    row space after projection).  When ``b``'s variables are all ``a``'s,
+    that is checked against ``a``'s cached echelon."""
+    _check_comparable(a, b)
+    if b._columns.keys() <= a._columns.keys():
+        return _contains(a._echelon, _rows_in(b, a))
     ech_a, ech_b = _comparison_context(a, b)
-    return _contains(ech_a, ech_b)
+    return _contains(ech_a, ech_b.pivots.values())

@@ -1,11 +1,13 @@
 """Diagram reductions on random small binary cluster families: each one is
 certified by the exact rank oracle against the unreduced all-subsets
-diagram."""
+diagram, and dropping an edge gets the pair-ordered reference's verdict."""
 
 import pytest
 
 from maplp import (
+    PolytopeDiagram,
     affine_system_equal,
+    affine_system_implies,
     all_subsets_spec,
     constraint_system,
     diagram_from_relaxation,
@@ -18,6 +20,7 @@ from maplp import (
 )
 
 from conftest import build_graph
+from test_oracle import reference_verdicts
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -54,3 +57,16 @@ def test_reductions_certified_against_all_subsets(graph):
         assert certified(remove_node(base, v))
     for builder in (powerset_spec, pi_system_spec, max_intersection_spec):
         assert certified(diagram_from_relaxation(builder(graph), graph.clusters))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(graph=binary_families(), data=st.data())
+def test_dropped_edge_verdicts_match_reference(graph, data):
+    base = diagram_from_relaxation(all_subsets_spec(graph), graph.clusters)
+    edge = data.draw(st.sampled_from(sorted(e for e in base.edges if e[0] != e[1])))
+    looser = PolytopeDiagram(base.nodes, base.edges - {edge}, base.anchor_clusters)
+    a = constraint_system(base, graph.cardinalities)
+    b = constraint_system(looser, graph.cardinalities)
+    assert (
+        affine_system_equal(a, b), affine_system_implies(a, b), affine_system_implies(b, a)
+    ) == reference_verdicts(a, b)

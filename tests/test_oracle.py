@@ -1,6 +1,7 @@
 """Exhaustive MAP and the exact affine-equivalence machinery."""
 
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from maplp import (
     diagram_from_relaxation,
     energy,
     gmplp_spec,
+    max_intersection_spec,
+    pi_system_spec,
     powerset_spec,
     random_grid,
     redundant_nodes,
@@ -29,7 +32,7 @@ from maplp import (
 )
 from maplp.oracle import AffineConstraintSystem
 
-from conftest import CHAIN_CLUSTERS, build_graph, random_clusters_graph
+from conftest import CHAIN_CLUSTERS, GRID_CLIQUES, build_graph, random_clusters_graph
 
 
 def slow_reference_map(graph):
@@ -298,3 +301,174 @@ class TestAffineEquality:
         b = AffineConstraintSystem(idx_b, (), frozenset({(0,)}))
         with pytest.raises(ValueError, match="anchor"):
             affine_system_equal(a, b)
+
+    def test_mismatched_cardinalities_rejected(self):
+        # one diagram under [2, 2, 2] and [2, 3, 2]: node (1,) has 2 cells on
+        # one side and 3 on the other, which no projection can reconcile
+        d = diagram(
+            {(0, 1, 2), (0, 1), (1,)},
+            {((0, 1, 2), (0, 1)), ((0, 1), (1,))},
+            {(0, 1, 2)},
+        )
+        a = constraint_system(d, [2, 2, 2])
+        b = constraint_system(d, [2, 3, 2])
+        smaller = constraint_system(
+            diagram({(0, 1, 2), (1,)}, {((0, 1, 2), (1,))}, {(0, 1, 2)}), [2, 3, 2]
+        )
+        for x, y in ((a, b), (b, a), (a, smaller), (smaller, a)):
+            for compare in (affine_system_equal, affine_system_implies):
+                with pytest.raises(ValueError, match=r"node \(1,\)"):
+                    compare(x, y)
+
+
+class TestConstraintSystemCardinalities:
+    @pytest.mark.parametrize(
+        "cards, node",
+        [([2, 2], r"\(0, 1, 2\)"), ([2, 0, 2], r"\(1,\)"), ([2, -1, 2], r"\(1,\)")],
+        ids=["too-few", "zero", "negative"],
+    )
+    def test_missing_or_nonpositive_cardinality_rejected(self, cards, node):
+        d = diagram({(0, 1, 2), (1,)}, {((0, 1, 2), (1,))})
+        with pytest.raises(ValueError, match="node " + node):
+            constraint_system(d, cards)
+
+
+# ---------------------------------------------------------------------------
+# The pair-ordered comparison, kept as the reference for the oracle
+# ---------------------------------------------------------------------------
+
+
+def _reference_reduce(pivots, row):
+    row = {c: v for c, v in row.items() if v}
+    while row and min(row) in pivots:
+        col = min(row)
+        piv = pivots[col]
+        a, b = row[col], piv[col]
+        new = {c: v * b for c, v in row.items()}
+        for c, v in piv.items():
+            new[c] = new.get(c, 0) - v * a
+        row = {c: v for c, v in new.items() if v}
+    return row
+
+
+def reference_verdicts(a, b):
+    """``(equal(a, b), implies(a, b), implies(b, a))`` by the pair-ordered
+    comparison: both systems eliminated in one column order that puts the
+    variables only one side has first, whose pivots are then dropped."""
+    keys_a, keys_b = set(a.variable_index), set(b.variable_index)
+
+    def canon(k):
+        return len(k[0]), k[0], k[1]
+
+    exclusive = sorted(keys_a ^ keys_b, key=canon)
+    column = {k: i for i, k in enumerate(exclusive + sorted(keys_a & keys_b, key=canon))}
+
+    def projected(system):
+        pivots = {}
+        for row in system.rows:
+            rest = _reference_reduce(
+                pivots, {column[system.variable_index[c]]: v for c, v in row}
+            )
+            if rest:
+                g = 0
+                for v in rest.values():
+                    g = gcd(g, v)
+                pivots[min(rest)] = {c: v // g for c, v in rest.items()}
+        return {c: r for c, r in pivots.items() if c >= len(exclusive)}
+
+    pa, pb = projected(a), projected(b)
+
+    def contains(p, q):
+        return not any(_reference_reduce(p, r) for r in q.values())
+
+    a_implies_b, b_implies_a = contains(pa, pb), contains(pb, pa)
+    return len(pa) == len(pb) and a_implies_b, a_implies_b, b_implies_a
+
+
+def oracle_verdicts(a, b):
+    return (
+        affine_system_equal(a, b),
+        affine_system_implies(a, b),
+        affine_system_implies(b, a),
+    )
+
+
+def without_edge(d, edge):
+    return PolytopeDiagram(d.nodes, d.edges - {edge}, d.anchor_clusters)
+
+
+def spliced(d, v):
+    """``remove_node``'s splice, without its redundancy check."""
+    edges = {e for e in d.edges if v not in e}
+    edges |= {(c, s) for c in d.incoming(v) for s in d.outgoing(v)}
+    return PolytopeDiagram(d.nodes - {v}, edges, d.anchor_clusters)
+
+
+def reference_graphs():
+    graphs = [
+        ("chain", build_graph([2] * 5, CHAIN_CLUSTERS)),
+        ("clique-grid", build_graph([2] * 9, GRID_CLIQUES)),
+        ("chain-3", build_graph([3] * 5, CHAIN_CLUSTERS)),
+        ("chain-23232", build_graph([2, 3, 2, 2, 3], CHAIN_CLUSTERS)),
+    ]
+    seeds = (s for s in itertools.count() if random_clusters_graph(s, 6).num_vars == 6)
+    graphs += [(f"random-{s}", random_clusters_graph(s, 6)) for s in itertools.islice(seeds, 4)]
+    return graphs
+
+
+class TestOneSidedProjection:
+    """The oracle's verdicts equal the pair-ordered reference, on reductions
+    (True) and on loosened diagrams (False)."""
+
+    @pytest.mark.parametrize(
+        "name, graph", [pytest.param(n, g, id=n) for n, g in reference_graphs()]
+    )
+    def test_verdicts_match_pair_ordered_reference(self, name, graph):
+        cards = graph.cardinalities
+        base = diagram_from_relaxation(all_subsets_spec(graph), graph.clusters)
+        candidates = [
+            diagram_from_relaxation(builder(graph), graph.clusters)
+            for builder in (
+                powerset_spec, pi_system_spec, max_intersection_spec, gmplp_spec, dd_spec,
+            )
+        ]
+        candidates.append(reduce_edges(base))
+        candidates += [remove_node(base, v) for v in sorted(redundant_nodes(base))]
+        edges = sorted(e for e in base.edges if e[0] != e[1])
+        candidates += [without_edge(base, e) for e in edges[:: max(1, len(edges) // 8)]]
+        candidates += [
+            spliced(base, v)
+            for v in sorted(base.nodes - redundant_nodes(base) - base.anchor_clusters)
+            if base.incoming(v)
+        ]
+        base_sys = constraint_system(base, cards)
+        verdicts = []
+        for d in candidates:
+            s = constraint_system(d, cards)
+            verdicts.append(oracle_verdicts(base_sys, s))
+            assert verdicts[-1] == reference_verdicts(base_sys, s)
+        assert (True, True, True) in verdicts
+        if name in ("chain", "clique-grid"):
+            assert any(not equal for equal, _, _ in verdicts)
+
+    def test_spliced_non_redundant_node_is_looser(self):
+        g = build_graph([2] * 5, CHAIN_CLUSTERS)
+        base = diagram_from_relaxation(all_subsets_spec(g), g.clusters)
+        assert (1, 2) not in redundant_nodes(base)
+        a = constraint_system(base, g.cardinalities)
+        b = constraint_system(spliced(base, (1, 2)), g.cardinalities)
+        assert oracle_verdicts(a, b) == reference_verdicts(a, b) == (False, True, False)
+
+    def test_failed_containment_leaves_cached_echelon_alone(self):
+        g = build_graph([2] * 5, CHAIN_CLUSTERS)
+        cards = g.cardinalities
+        base = diagram_from_relaxation(all_subsets_spec(g), g.clusters)
+        loose = without_edge(base, ((0, 1, 2), (1, 2)))
+        a = constraint_system(loose, cards)
+        good = constraint_system(reduce_edges(loose), cards)
+        assert not affine_system_implies(a, constraint_system(base, cards))
+        fresh = constraint_system(loose, cards)
+        assert affine_system_equal(a, a)
+        assert affine_system_equal(a, good) == affine_system_equal(fresh, good) is True
+        assert a._echelon.rank == fresh._echelon.rank
+        assert a._echelon.pivots == fresh._echelon.pivots

@@ -1,6 +1,7 @@
-"""The benchmark runs end to end: one short cycles-pursuit run exits 0 with
-every gate passed and reports exactly the end-to-end metrics that
-``BENCHMARK.json`` declares."""
+"""The benchmark runs end to end: one short cycles-pursuit run and one short
+small-certify run (whose gates include the rank-certified diagram
+reductions) exit 0 with every gate passed and report exactly the end-to-end
+metrics that ``BENCHMARK.json`` declares."""
 
 import json
 import subprocess
@@ -10,9 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_cycles_pursuit_smoke():
+def run_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "cycles-pursuit",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -22,3 +23,11 @@ def test_cycles_pursuit_smoke():
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert list(result["metrics"]) == [m["name"] for m in declared]
+
+
+def test_cycles_pursuit_smoke():
+    run_smoke("cycles-pursuit")
+
+
+def test_small_certify_smoke():
+    run_smoke("small-certify")
