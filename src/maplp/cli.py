@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import diagram as dg
 from . import oracle
-from .engine import DualTrace, SolverParams, run
-from .factor_graph import EnumerationCapError, energy, random_grid, validate
+from .engine import DualTrace, SolverParams, _check_model, run
+from .factor_graph import EnumerationCapError, FactorGraph, energy, random_grid
 from .io import emit_trace, load_model, save_model
 from .pursuit import run_with_pursuit
 from .relaxations import (
@@ -72,6 +72,14 @@ def _trace_fmt(path: Path) -> str:
     return "json" if path.suffix.lower() == ".json" else "csv"
 
 
+def _load_valid(path: Path) -> FactorGraph:
+    """The model at ``path``, checked before any relaxation is built from it
+    (an invalid one raises ``InvalidModelError``)."""
+    graph = load_model(path)
+    _check_model(graph)
+    return graph
+
+
 def _run_one(graph, alg: str, args: argparse.Namespace):
     spec = ALGORITHMS[alg](graph)
     params = _params(args)
@@ -85,7 +93,7 @@ def _run_one(graph, alg: str, args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    graph = load_model(args.model)
+    graph = _load_valid(args.model)
     result, truncated = _run_one(graph, args.alg, args)
     if args.trace:
         emit_trace(result.trace, args.trace, _trace_fmt(args.trace))
@@ -117,7 +125,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    graph = load_model(args.model)
+    graph = _load_valid(args.model)
     algs = [a.strip() for a in args.alg.split(",") if a.strip()]
     unknown = [a for a in algs if a not in ALGORITHMS]
     if unknown:
@@ -138,15 +146,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    graph = load_model(args.model)
+    graph = _load_valid(args.model)
     checks: list[tuple[str, bool, str]] = []
-
-    problems = validate(graph)
-    checks.append(("model invariants", not problems, "; ".join(problems)))
 
     try:
         exact = oracle.brute_force_map(graph, cap=args.cap)
-    except Exception as exc:  # cap exceeded or invalid model
+    except EnumerationCapError as exc:
         print(f"verify: cannot enumerate model: {exc}", file=sys.stderr)
         return 1
 

@@ -80,9 +80,10 @@ class FactorGraph:
     """A collection of variables with cardinalities and log-potential tables.
 
     Duplicate cluster scopes are merged at construction by summing their
-    tables, which preserves the total energy.  Unsorted input scopes are
-    sorted and their tables transposed to match.  Tables are made read-only;
-    treat instances as immutable once built.
+    tables, which preserves the total energy; tables of different shapes on
+    one scope are kept apart, and ``validate`` reports the duplicate.
+    Unsorted input scopes are sorted and their tables transposed to match.
+    Tables are made read-only; treat instances as immutable once built.
     """
 
     def __init__(
@@ -94,8 +95,8 @@ class FactorGraph:
         self.cardinalities: tuple[int, ...] = tuple(int(k) for k in cardinalities)
         self.num_vars: int = len(self.cardinalities)
 
-        merged: dict[Cluster, PotentialTable] = {}
-        order: list[Cluster] = []
+        tables: list[PotentialTable] = []
+        by_scope: dict[Cluster, PotentialTable] = {}
         for scope_in, values_in in zip(clusters, potentials, strict=True):
             raw = tuple(int(v) for v in scope_in)
             perm = tuple(int(p) for p in np.argsort(raw, kind="stable"))
@@ -106,18 +107,19 @@ class FactorGraph:
                 # permute axes so storage follows the sorted scope.
                 shaped = values.reshape(table_shape(raw, self.cardinalities))
                 values = np.ascontiguousarray(shaped.transpose(perm))
-            if scope in merged:
-                prev = merged[scope].values
-                if prev.shape == values.shape:
-                    values = prev + values
-                merged[scope] = PotentialTable(scope, values)
+            prev = by_scope.get(scope)
+            if prev is not None and prev.values.shape == values.shape:
+                prev.values = prev.values + values
             else:
-                merged[scope] = PotentialTable(scope, values)
-                order.append(scope)
-        for table in merged.values():
+                # A table that cannot be summed with an earlier one on the
+                # same scope is kept apart, for ``validate`` to report.
+                table = PotentialTable(scope, values)
+                by_scope.setdefault(scope, table)
+                tables.append(table)
+        for table in tables:
             table.values.flags.writeable = False
-        self.potentials: tuple[PotentialTable, ...] = tuple(merged[s] for s in order)
-        self._by_scope: dict[Cluster, PotentialTable] = merged
+        self.potentials: tuple[PotentialTable, ...] = tuple(tables)
+        self._by_scope: dict[Cluster, PotentialTable] = by_scope
 
     def _scope_ok(self, scope: Cluster) -> bool:
         if not scope:

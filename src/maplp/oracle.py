@@ -19,21 +19,21 @@ compared; an anchor variable missing from either side, or a node with a
 different number of cells on the two sides, is an error.
 
 Each system is eliminated once, in its canonical ``(len(cluster), cluster,
-cell)`` column order, and the echelon is cached on the system.  When ``b``'s
-variables are a subset of ``a``'s (every reduction checked against its
-unreduced diagram), no pair-specific elimination is needed: with ``X`` the
-variables only ``a`` has, projecting ``X`` out of ``a`` leaves a space of
-dimension ``rank(a) - rank(a_X)``, so ``b`` equals it exactly when
-``rank(b)`` is that number and ``b``'s rows reduce to zero against ``a``'s
-echelon.  Systems with variables exclusive to both sides still take the
-general path: both are eliminated in one pair-specific order with the
-exclusive variables first, whose pivots are then dropped.
+cell)`` column order, and the echelon is cached on the system.  Every
+comparison then rests on one rank identity.  With ``X_a`` the variables only
+``a`` has and ``a_X`` its rows restricted to them, projecting ``X_a`` out of
+``a`` leaves the space ``P_a`` of dimension ``rank(a) - rank(a_X)``.  Since
+``[a; b]`` restricted to ``X_a`` and ``X_b`` is block-diagonal, ``P_b`` lies
+inside ``P_a`` exactly when ``rank([a; b]) == rank(a) + rank(b_X)``, which is
+checked by adding ``b``'s cached pivot rows to a copy of ``a``'s.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from math import gcd
 from typing import Sequence
 
@@ -105,11 +105,24 @@ class AffineConstraintSystem:
 
     The system's echelon form is computed on first use and kept on the
     instance, so it lives exactly as long as the system does.
+
+    Raises ``ValueError`` when ``variable_index`` repeats a key or a row
+    names a column outside it.
     """
 
     variable_index: tuple[tuple[Cluster, int], ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     anchors: frozenset[Cluster] = frozenset()
+
+    def __post_init__(self) -> None:
+        keys, n = self.variable_index, len(self.variable_index)
+        if len(set(keys)) != n:
+            repeated = next(k for k, m in Counter(keys).items() if m > 1)
+            raise ValueError(f"variable {repeated} is repeated in variable_index")
+        for i, row in enumerate(self.rows):
+            for c, _ in row:
+                if not 0 <= c < n:
+                    raise ValueError(f"row {i} names column {c}, outside the {n} variables")
 
     @property
     def nodes(self) -> set[Cluster]:
@@ -132,8 +145,8 @@ class AffineConstraintSystem:
 
     @cached_property
     def _echelon(self) -> _Echelon:
-        """The rows eliminated once, in canonical column order.  Only
-        :meth:`_Echelon.reduces_to_zero` may touch it afterwards."""
+        """The rows eliminated once, in canonical column order.  Comparisons
+        add rows only to a copy of its pivots."""
         local = [self._columns[k] for k in self.variable_index]
         ech = _Echelon()
         for row in self.rows:
@@ -204,19 +217,27 @@ class _Echelon:
     keeps everything exact, so ranks are exact ranks over the rationals.
     """
 
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
+    def __init__(self, pivots: dict[int, dict[int, int]] | None = None):
+        self.pivots: dict[int, dict[int, int]] = dict(pivots or {})
 
-    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """A copy of ``row`` reduced until its leading column has no pivot;
-        empty when ``row`` lies in the span of the pivots."""
+    def add_row(self, row: dict[int, int]) -> bool:
+        """Reduce a copy of ``row`` against the pivots; returns True when it
+        adds a new pivot (i.e. was independent).  Pivot rows are never
+        written to, so an echelon seeded with another's pivots shares their
+        rows and leaves the other as it was."""
         row = {c: v for c, v in row.items() if v != 0}
         pivots = self.pivots
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                break
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                if row[col] < 0:
+                    g = -g
+                pivots[col] = {c: v // g for c, v in row.items()}
+                return True
             a = row[col]
             b = piv[col]
             g = gcd(a, b)
@@ -230,26 +251,7 @@ class _Echelon:
                     row[c] = w
                 else:
                     del row[c]
-        return row
-
-    def add_row(self, row: dict[int, int]) -> bool:
-        """Reduce ``row`` against current pivots; returns True when it adds
-        a new pivot (i.e. was independent)."""
-        row = self._reduce(row)
-        if not row:
-            return False
-        col = min(row)
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        if row[col] < 0:
-            g = -g
-        self.pivots[col] = {c: v // g for c, v in row.items()}
-        return True
-
-    def reduces_to_zero(self, row: dict[int, int]) -> bool:
-        """True when ``row`` lies in the span of the pivots; never adds one."""
-        return not self._reduce(row)
+        return False
 
     @property
     def rank(self) -> int:
@@ -285,77 +287,44 @@ def _rank_on(system: AffineConstraintSystem, keys: set[tuple[Cluster, int]]) -> 
     return ech.rank
 
 
-def _contains(ech: _Echelon, rows) -> bool:
-    """Every row reduces to zero against ``ech``, which is left as it is."""
-    return all(ech.reduces_to_zero(r) for r in rows)
+def _implies(a: AffineConstraintSystem, b: AffineConstraintSystem, rank_b_x: int) -> bool:
+    """``P_b`` inside ``P_a``, i.e. ``rank([a; b]) == rank(a) + rank(b_X)``.
 
-
-def _rows_in(b: AffineConstraintSystem, a: AffineConstraintSystem):
-    """``b``'s pivot rows in ``a``'s canonical columns (``b``'s variables
-    must all be ``a``'s)."""
-    to_a = [a._columns[k] for k in b._columns]
+    ``b``'s cached pivot rows are added to a copy of ``a``'s cached pivots,
+    in ``a``'s columns with ``b``'s own variables numbered after them; the
+    answer is False as soon as more than ``rank_b_x`` of them are
+    independent.  ``a``'s echelon is left as it is."""
+    cols = a._columns
+    own = count(len(cols))
+    to_ab = [cols[k] if k in cols else next(own) for k in b._columns]
+    ech = _Echelon(a._echelon.pivots)
+    independent = 0
     for row in b._echelon.pivots.values():
-        yield {to_a[c]: v for c, v in row.items()}
-
-
-def _projected(
-    system: AffineConstraintSystem, column_of: dict[tuple[Cluster, int], int], n_exclusive: int
-) -> _Echelon:
-    """Row space of the system with its exclusive variables eliminated.
-
-    Columns are globally ordered with exclusive variables first; echelon rows
-    whose pivot falls in the shared region have no support on the exclusive
-    columns and span exactly the projected constraint space.  Those rows keep
-    distinct leading columns, so they are already an echelon basis.
-    """
-    ech = _Echelon()
-    for row in system.rows:
-        ech.add_row({column_of[system.variable_index[c]]: v for c, v in row})
-    ech.pivots = {col: r for col, r in ech.pivots.items() if col >= n_exclusive}
-    return ech
-
-
-def _comparison_context(a: AffineConstraintSystem, b: AffineConstraintSystem):
-    """Both systems eliminated in one pair-specific column order, with the
-    variables only one side has first and then projected out."""
-    keys_a, keys_b = a._columns.keys(), b._columns.keys()
-    excl_keys = sorted(keys_a ^ keys_b, key=_canonical)
-    shared_keys = sorted(keys_a & keys_b, key=_canonical)
-    column_of = {k: i for i, k in enumerate(excl_keys + shared_keys)}
-    return (
-        _projected(a, column_of, len(excl_keys)),
-        _projected(b, column_of, len(excl_keys)),
-    )
+        if ech.add_row({to_ab[c]: v for c, v in row.items()}):
+            independent += 1
+            if independent > rank_b_x:
+                return False
+    return True
 
 
 def affine_system_equal(a: AffineConstraintSystem, b: AffineConstraintSystem) -> bool:
     """True iff the two equality systems describe the same solution set
-    (after projecting out any one-sided non-anchor variables): equal ranks,
-    and b's row space inside a's.
-
-    When one side's variables are a subset of the other's, say ``b``'s of
-    ``a``'s with ``X`` the variables only ``a`` has, projecting ``X`` out of
-    ``a`` leaves a space of dimension ``rank(a) - rank(a_X)``, ``a_X`` being
-    ``a``'s rows restricted to ``X``.  ``b`` is then compared against that
-    rank and against ``a``'s cached echelon, with no pair-specific
-    elimination."""
+    after projecting out the non-anchor variables only one side has: equal
+    projected dimensions, and one projected row space inside the other."""
     _check_comparable(a, b)
+    if len(a._columns) <= len(b._columns):
+        a, b = b, a
     keys_a, keys_b = a._columns.keys(), b._columns.keys()
-    if keys_a <= keys_b:
-        a, b, keys_a, keys_b = b, a, keys_b, keys_a
-    if keys_b <= keys_a:
-        projected_rank = a._echelon.rank - _rank_on(a, keys_a - keys_b)
-        return b._echelon.rank == projected_rank and _contains(a._echelon, _rows_in(b, a))
-    ech_a, ech_b = _comparison_context(a, b)
-    return ech_a.rank == ech_b.rank and _contains(ech_a, ech_b.pivots.values())
+    rank_a_x = _rank_on(a, keys_a - keys_b)
+    rank_b_x = _rank_on(b, keys_b - keys_a)
+    return (
+        a._echelon.rank - rank_a_x == b._echelon.rank - rank_b_x
+        and _implies(a, b, rank_b_x)
+    )
 
 
 def affine_system_implies(a: AffineConstraintSystem, b: AffineConstraintSystem) -> bool:
-    """True iff every solution of ``a`` satisfies ``b`` (b's rows lie in a's
-    row space after projection).  When ``b``'s variables are all ``a``'s,
-    that is checked against ``a``'s cached echelon."""
+    """True iff every solution of ``a`` satisfies ``b`` after projecting out
+    the non-anchor variables only one side has (``P_b`` inside ``P_a``)."""
     _check_comparable(a, b)
-    if b._columns.keys() <= a._columns.keys():
-        return _contains(a._echelon, _rows_in(b, a))
-    ech_a, ech_b = _comparison_context(a, b)
-    return _contains(ech_a, ech_b.pivots.values())
+    return _implies(a, b, _rank_on(b, b._columns.keys() - a._columns.keys()))

@@ -6,12 +6,15 @@ import pytest
 from maplp import (
     FactorGraph,
     InvalidAssignmentError,
+    InvalidModelError,
     XorShift64Star,
     as_cluster,
     brute_force_map,
+    dd_spec,
     energy,
     random_grid,
     restrict,
+    run,
     validate,
 )
 
@@ -95,6 +98,18 @@ class TestConstructionAndValidate:
         assert validate(g) == []
         assert len(g.clusters) == 1
         np.testing.assert_array_equal(g.potentials[0].values, t1 + t2)
+
+    @pytest.mark.parametrize("first, second", [(3, 4), (4, 3)], ids=["bad-first", "bad-second"])
+    def test_duplicate_scope_with_mis_sized_table_reported(self, first, second):
+        # the two tables cannot be summed; neither may be dropped silently
+        g = FactorGraph([2, 2], [(0, 1), (0, 1)], [np.zeros(first), np.ones(second)])
+        problems = validate(g)
+        assert len(problems) == 2
+        assert any("duplicate cluster set (0, 1)" in p for p in problems)
+        assert any("table size 3, expected 4" in p for p in problems)
+        spec = dd_spec(FactorGraph([2, 2], [(0, 1)], [np.zeros(4)]))
+        with pytest.raises(InvalidModelError, match="duplicate cluster set"):
+            run(g, spec)
 
     def test_unsorted_scope_is_normalised(self):
         table = np.arange(6.0).reshape(3, 2)  # axes: (var1 with 3 states, var0 with 2)

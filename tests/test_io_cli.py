@@ -225,6 +225,19 @@ class TestCli:
         assert code == 2
         assert "cluster 0 (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_duplicate_scope_with_mis_sized_table_is_exit_2(self, tmp_path, capsys, command):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({
+            "format": "maplp-model", "version": 1, "cardinalities": [2, 2],
+            "clusters": [[0, 1], [0, 1]],
+            "log_potentials": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]],
+        }))
+        args = ["--alg", "dd"] if command == "solve" else []
+        code = cli_main([command, "--model", str(model), *args])
+        assert code == 2
+        assert "duplicate cluster set (0, 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--tg", "--ta", "--time-limit"])
     def test_nan_solver_setting_is_exit_2(self, tmp_path, capsys, flag):
         model = tmp_path / "grid.json"
