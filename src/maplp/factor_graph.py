@@ -83,7 +83,8 @@ class FactorGraph:
     tables, which preserves the total energy; tables of different shapes on
     one scope are kept apart, and ``validate`` reports the duplicate.
     Unsorted input scopes are sorted and their tables transposed to match.
-    Tables are made read-only; treat instances as immutable once built.
+    Tables are copied on the way in and made read-only; treat instances as
+    immutable once built.
     """
 
     def __init__(
@@ -101,7 +102,8 @@ class FactorGraph:
             raw = tuple(int(v) for v in scope_in)
             perm = tuple(int(p) for p in np.argsort(raw, kind="stable"))
             scope = tuple(raw[p] for p in perm)
-            values = np.asarray(values_in, dtype=np.float64)
+            # A copy: the graph neither aliases nor freezes the caller's array.
+            values = np.array(values_in, dtype=np.float64)
             if self._scope_ok(scope) and values.size == table_cells(scope, self.cardinalities):
                 # Incoming entries are row-major over the scope as given;
                 # permute axes so storage follows the sorted scope.

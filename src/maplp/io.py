@@ -160,7 +160,7 @@ def model_from_dict(data: dict) -> FactorGraph:
     return FactorGraph(
         data["cardinalities"],
         [tuple(c) for c in data["clusters"]],
-        [np.asarray(t, dtype=np.float64) for t in data["log_potentials"]],
+        data["log_potentials"],  # FactorGraph copies each table into an array
     )
 
 

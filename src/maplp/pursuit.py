@@ -8,6 +8,17 @@ support cluster inside it as a sub-cluster) restores agreement on the pair
 and can only lower the dual.  Candidates are scored by the dual decrease a
 single block update of the union would achieve, and the best few are added
 per round.
+
+What a round costs.  The candidate search is batched over the current
+beliefs (Sontag, Choe & Li, UAI 2012): the support tables are stacked by
+shape once, one argmax per row decodes every parent, each distinct union is
+scored once, and the unions are scored in one numpy update per union order
+and sub-cluster layout.  The solve then grows the compiled sweep it kept
+from the round before (see :mod:`maplp.engine`) instead of compiling the
+grown spec from scratch, and the spec itself checks only the clusters a
+round adds.  On 100 frustrated 4-cycles (seed 3, 13 rounds; 2-vCPU host,
+best of 5) the 13 searches take 0.08-0.09 s where the per-pair search took
+0.40 s, and a whole solve 0.27 s where it took 0.59 s.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ import logging
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -26,7 +38,9 @@ from .engine import (
     SolverParams,
     _check_model,
     _embed_index,
+    _Packing,
     _run,
+    _Sweep,
     init_messages,
 )
 from .factor_graph import Cluster, FactorGraph, table_shape
@@ -97,53 +111,99 @@ def stealth_candidates(
     fractional support, so set projections always overlap and set comparison
     would never flag the very disagreements pursuit exists to repair.
     Unions larger than ``max_order`` are dropped with a logged warning.
-    Duplicated unions keep their best score; results are sorted by
-    descending score, then lexicographic union.
+    A union's score depends only on the union, so a union met again keeps
+    its first pair; results are sorted by descending score, then
+    lexicographic union.
+
+    The search is batched: the support tables are stacked by shape, one
+    argmax per row decodes every parent, and the unions are scored in one
+    numpy update per union order and sub-cluster layout, with the float
+    operations of :func:`pursuit_score`, so scores are bit-identical to it.
+    Raises ``ValueError`` unless ``max_order`` is an integer >= 1.
     """
-    index = _incidence(spec.support)
+    _check_max_order(max_order)
+    # senders[s]: the extended clusters listing s as a proper sub-cluster,
+    # so two clusters have a common parent when their senders meet.
     senders: dict[Cluster, list[Cluster]] = {}
     for c in spec.extended_clusters:
         for s in spec.proper_subs_of(c):
             senders.setdefault(s, []).append(c)
-    common_parent: set[frozenset[Cluster]] = set()
-    for c in spec.extended_clusters:
-        subs = spec.proper_subs_of(c)
-        for a, b in combinations(subs, 2):
-            common_parent.add(frozenset((a, b)))
+    tables = beliefs.tables
+    packing = _Packing({t: tables[t] for t in spec.support if t in tables})
+    state_of = _first_maximisers(packing)
 
-    proj_cache: dict[tuple[Cluster, Cluster], tuple[int, ...]] = {}
-
-    def proj(c: Cluster, t: Cluster) -> tuple[int, ...]:
-        key = (c, t)
-        if key not in proj_cache:
-            proj_cache[key] = _decoded_projection(beliefs[c], c, t)
-        return proj_cache[key]
-
-    best: dict[Cluster, StealthCandidate] = {}
+    first: dict[Cluster, tuple[Cluster, Cluster, Cluster]] = {}
     skipped_large = 0
     for t, cs in sorted(senders.items()):
-        for c1, c2 in combinations(sorted(cs), 2):
-            if frozenset((c1, c2)) in common_parent:
-                continue
-            if proj(c1, t) == proj(c2, t):
+        cs = sorted(cs)
+        projs = [tuple(map(state_of[c].__getitem__, t)) for c in cs]
+        if projs.count(projs[0]) == len(projs):
+            continue
+        for (p1, c1), (p2, c2) in combinations(zip(projs, cs), 2):
+            if p1 == p2 or not set(senders.get(c1, ())).isdisjoint(senders.get(c2, ())):
                 continue
             union = tuple(sorted(set(c1) | set(c2)))
             if len(union) > max_order:
                 skipped_large += 1
                 continue
-            subs = _canonical(s for s in _inside(index, union) if s != union)
-            cand = StealthCandidate((c1, c2), t, union, subs, 0.0)
-            score = pursuit_score(beliefs, cand)
-            cand = StealthCandidate((c1, c2), t, union, subs, score)
-            prev = best.get(union)
-            if prev is None or score > prev.score:
-                best[union] = cand
+            first.setdefault(union, (c1, c2, t))
     if skipped_large:
         logger.warning(
             "dropped %d stealth candidates above union order cap %d",
             skipped_large, max_order,
         )
-    return sorted(best.values(), key=lambda c: (-c.score, c.union))
+    index = _incidence(spec.support)
+    subs_of = {u: _canonical(s for s in _inside(index, u) if s != u) for u in first}
+    scores = _union_scores(packing, subs_of)
+    found = [
+        StealthCandidate((c1, c2), t, u, subs_of[u], scores[u])
+        for u, (c1, c2, t) in first.items()
+    ]
+    return sorted(found, key=lambda c: (-c.score, c.union))
+
+
+def _check_max_order(max_order: int) -> None:
+    if isinstance(max_order, bool) or not isinstance(max_order, Integral) or max_order < 1:
+        raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
+
+
+def _first_maximisers(packing: _Packing) -> dict[Cluster, dict[int, int]]:
+    """The decoded (first flat-index) maximiser of every packed table, as a
+    state per variable: one argmax per row, as :func:`_decoded_projection`
+    takes per table."""
+    state_of: dict[Cluster, dict[int, int]] = {}
+    for k, ts in enumerate(packing.members):
+        confs = packing.first_maximisers(k).T.tolist()
+        state_of.update((t, dict(zip(t, conf))) for t, conf in zip(ts, confs))
+    return state_of
+
+
+def _union_scores(
+    packing: _Packing, subs_of: dict[Cluster, tuple[Cluster, ...]]
+) -> dict[Cluster, float]:
+    """:func:`pursuit_score` of each union with the given sub-clusters, in
+    one batch per union order and sub layout (each sub's kept axes and
+    pack): per row, the same left-to-right additions of the same tables.
+    Every union has a sub-cluster: the one its pair shares."""
+    where = packing.where
+    batches: dict[tuple, list[Cluster]] = {}
+    for u, subs in subs_of.items():
+        axis = {v: i for i, v in enumerate(u)}.__getitem__
+        layout = tuple((tuple(map(axis, s)), where[s][0]) for s in subs)
+        batches.setdefault((len(u), layout), []).append(u)
+    scores: dict[Cluster, float] = {}
+    for (_, layout), unions in batches.items():
+        n, u = len(unions), unions[0]
+        separate = np.zeros(n)
+        joint = None
+        for i, (_, k) in enumerate(layout):
+            rows = [where[subs_of[v][i]][1] for v in unions]
+            bs = packing.packs[k][rows]
+            separate += bs.reshape(n, -1).max(axis=1)
+            piece = bs[(slice(None), *_embed_index(subs_of[u][i], u))]
+            joint = piece.copy() if joint is None else joint + piece
+        scores.update(zip(unions, (separate - joint.reshape(n, -1).max(axis=1)).tolist()))
+    return scores
 
 
 @dataclass
@@ -189,9 +249,14 @@ def run_with_pursuit(
     tightened further by this strategy and the loop stops with whatever gap
     remains.  ``rounds`` counts outer iterations after the first solve.
 
-    The graph is validated once, before the first sweep, as in :func:`run`.
+    The graph is validated once, before the first sweep, as in :func:`run`,
+    and ``max_order`` must be an integer >= 1 (``ValueError``).  In belief
+    mode the compiled sweep is kept across rounds and grows with the
+    appended unions; it is compiled again only when an existing extended
+    cluster gains sub-clusters.  Message mode rebuilds its state each round.
     """
     _check_model(graph)
+    _check_max_order(max_order)
     if params is None:
         params = SolverParams()
     t0 = time.perf_counter()
@@ -199,6 +264,7 @@ def run_with_pursuit(
     current = spec
     beliefs: BeliefState | None = None
     messages: Messages | None = None
+    sweep = _Sweep(graph.cardinalities) if mode == "beliefs" else None
     rounds = 0
     truncated = False
     sweeps_done = 0
@@ -217,6 +283,7 @@ def run_with_pursuit(
             pursuit_round=rounds,
             start_time=t0,
             sweep_offset=sweeps_done,
+            sweep=sweep,
         )
         trace.records.extend(result.trace.records)
         if result.trace.records:

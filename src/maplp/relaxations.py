@@ -18,6 +18,7 @@ clusters that share a variable, not with all pairs of clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -29,7 +30,9 @@ class RelaxationError(ValueError):
 
 
 def _canonical(clusters: Iterable[Cluster]) -> tuple[Cluster, ...]:
-    return tuple(sorted(set(clusters), key=lambda c: (len(c), c)))
+    """Distinct clusters by size, then lexicographically (a stable sort by
+    size of the lexicographic order)."""
+    return tuple(sorted(sorted(set(clusters)), key=len))
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,9 @@ class RelaxationSpec:
 
     ``extended_clusters`` fixes the sweep order of the solver; sub-cluster
     tuples are stored in canonical (size, lexicographic) order.  ``support``
-    is derived, never stored.
+    is derived, never stored in a field: it and the proper sub-clusters of
+    each extended cluster are computed once per spec, outside the fields
+    that ``==`` compares.
     """
 
     extended_clusters: tuple[Cluster, ...]
@@ -46,27 +51,25 @@ class RelaxationSpec:
 
     def __post_init__(self):
         subs = {}
-        seen = set()
         for c in self.extended_clusters:
-            if c in seen:
+            if c in subs:
                 raise RelaxationError(f"duplicate extended cluster {c}")
-            seen.add(c)
-            cs = set(c)
-            ss = _canonical(self.sub_clusters.get(c, ()))
-            for s in ss:
-                if not set(s) <= cs:
-                    raise RelaxationError(f"sub-cluster {s} is not contained in {c}")
-            subs[c] = ss
+            subs[c] = _checked_subs(c, self.sub_clusters.get(c, ()))
         object.__setattr__(self, "sub_clusters", subs)
+        # The proper sub-clusters of the clusters that list themselves; the
+        # sub-cluster tuple of every other cluster is its own.
+        proper = {c: _proper(c, ss) for c, ss in subs.items() if c in ss}
+        object.__setattr__(self, "_proper", proper)
 
     def subs_of(self, c: Cluster) -> tuple[Cluster, ...]:
         return self.sub_clusters.get(c, ())
 
     def proper_subs_of(self, c: Cluster) -> tuple[Cluster, ...]:
         """Sub-clusters of ``c`` excluding the vacuous self entry."""
-        return tuple(s for s in self.subs_of(c) if s != c)
+        proper = self._proper.get(c)
+        return self.sub_clusters.get(c, ()) if proper is None else proper
 
-    @property
+    @cached_property
     def support(self) -> tuple[Cluster, ...]:
         seen = set(self.extended_clusters)
         for ss in self.sub_clusters.values():
@@ -74,15 +77,36 @@ class RelaxationSpec:
         return _canonical(seen)
 
     def with_clusters(self, additions: Mapping[Cluster, Iterable[Cluster]]) -> "RelaxationSpec":
-        """New spec with extra extended clusters (existing ones gain subs)."""
+        """New spec with extra extended clusters (existing ones gain subs).
+        Only the added or changed clusters are checked again."""
         ext = list(self.extended_clusters)
-        subs = {c: set(ss) for c, ss in self.sub_clusters.items()}
+        subs = dict(self.sub_clusters)
+        proper = dict(self._proper)
         for c, ss in additions.items():
             if c not in subs:
                 ext.append(c)
-                subs[c] = set()
-            subs[c].update(ss)
-        return RelaxationSpec(tuple(ext), {c: tuple(ss) for c, ss in subs.items()})
+            subs[c] = _checked_subs(c, (*subs.get(c, ()), *ss))
+            if c in subs[c]:
+                proper[c] = _proper(c, subs[c])
+        spec = object.__new__(RelaxationSpec)
+        object.__setattr__(spec, "extended_clusters", tuple(ext))
+        object.__setattr__(spec, "sub_clusters", subs)
+        object.__setattr__(spec, "_proper", proper)
+        return spec
+
+
+def _checked_subs(c: Cluster, ss: Iterable[Cluster]) -> tuple[Cluster, ...]:
+    """``ss`` in canonical order, each checked to lie inside ``c``."""
+    ss = _canonical(ss)
+    cs = set(c)
+    for s in ss:
+        if not cs.issuperset(s):
+            raise RelaxationError(f"sub-cluster {s} is not contained in {c}")
+    return ss
+
+
+def _proper(c: Cluster, ss: tuple[Cluster, ...]) -> tuple[Cluster, ...]:
+    return tuple(s for s in ss if s != c)
 
 
 def covers(spec: RelaxationSpec, graph: FactorGraph) -> bool:

@@ -118,6 +118,19 @@ class TestConstructionAndValidate:
         np.testing.assert_array_equal(g.potentials[0].values, table.T)
         assert energy(g, (1, 2)) == table[2, 1]
 
+    def test_mis_sized_input_table_stays_writeable(self):
+        a = np.zeros(3)
+        g = FactorGraph([2, 2], [(0, 1)], [a])
+        assert a.flags.writeable
+        assert not g.potentials[0].values.flags.writeable
+
+    def test_input_table_is_copied(self):
+        b = np.zeros(4)
+        g = FactorGraph([2, 2], [(0, 1)], [b])
+        b[0] = 5.0
+        assert g.potentials[0].values[0, 0] == 0.0
+        assert b.flags.writeable
+
     def test_clean_graph_validates(self):
         g = random_grid(3, 3, 2, 0)
         assert validate(g) == []

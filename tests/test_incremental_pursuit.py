@@ -1,0 +1,160 @@
+"""Pursuit rounds that grow the compiled sweep, against a full compile per
+round.
+
+``reference_pursuit`` re-runs the outer loop of ``run_with_pursuit`` with
+public ``run`` on each round's spec, from a copy of the warm beliefs, so
+every round packs and compiles its spec from scratch.  ``run_with_pursuit``
+keeps its packed tables and compiled sweep across rounds and grows them;
+every round must agree bit for bit, and a full compile may happen only on
+the first round and where an existing extended cluster gains sub-clusters.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+
+import maplp.engine as engine
+import maplp.pursuit as pursuit
+from maplp import (
+    FactorGraph,
+    SolverParams,
+    XorShift64Star,
+    dd_spec,
+    random_grid,
+    run,
+    run_with_pursuit,
+    stealth_candidates,
+)
+from maplp.factor_graph import table_shape
+
+from conftest import frustrated_cycle
+
+CYCLE_PARAMS = SolverParams(max_sweeps=500, pursuit_sweeps=50)
+
+
+def reference_pursuit(graph, spec, params, search):
+    """Per round: spec, duals, primals, assignment and final tables; plus
+    the number of rounds in which an existing extended cluster gained
+    sub-clusters."""
+    rounds, beliefs, gained = [], None, 0
+    while True:
+        budget = params.pursuit_sweeps if rounds else params.max_sweeps
+        result = run(graph, spec, replace(params, max_sweeps=budget),
+                     beliefs=None if beliefs is None else beliefs.copy())
+        beliefs = result.beliefs
+        rounds.append((spec, result.trace.duals, result.trace.primals,
+                       result.assignment, beliefs.copy().tables))
+        if result.gap <= params.outer_tol:
+            return rounds, gained
+        present = set(spec.extended_clusters)
+        chosen = [c for c in search(spec, beliefs)
+                  if c.union not in present
+                  or not set(c.sub_clusters) <= set(spec.subs_of(c.union))]
+        if not chosen and result.converged:
+            return rounds, gained
+        chosen = chosen[:params.clusters_per_round]
+        gained += any(c.union in present for c in chosen)
+        spec = spec.with_clusters({c.union: c.sub_clusters for c in chosen})
+        for c in chosen:
+            if c.union not in beliefs:
+                beliefs[c.union] = np.zeros(table_shape(c.union, graph.cardinalities))
+
+
+def checked_pursuit(monkeypatch, graph, params, search=stealth_candidates):
+    """Runs pursuit with ``search`` as its candidate search, asserts every
+    round against the reference; returns the number of full compiles and of
+    reference rounds where a cluster gained sub-clusters, and whether the
+    gap closed."""
+    seen, compiles = [], []
+    compile_ = engine._Sweep._compile
+
+    def recording(spec, beliefs, **kwargs):
+        seen.append((spec, beliefs.copy().tables))
+        return search(spec, beliefs, **kwargs)
+
+    def counting(self, state):
+        compiles.append(state)
+        return compile_(self, state)
+
+    monkeypatch.setattr(pursuit, "stealth_candidates", recording)
+    monkeypatch.setattr(engine._Sweep, "_compile", counting)
+    result = run_with_pursuit(graph, dd_spec(graph), params)
+    monkeypatch.undo()
+    want, gained = reference_pursuit(graph, dd_spec(graph), params, search)
+
+    assert result.rounds == len(want) - 1
+    for r, (spec, duals, primals, _, tables) in enumerate(want):
+        records = [rec for rec in result.trace.records if rec.pursuit_round == r]
+        assert [rec.dual for rec in records] == duals, r
+        assert [rec.primal for rec in records] == primals, r
+        if r < len(seen):
+            got_spec, got_tables = seen[r]
+            assert got_spec == spec and got_spec.extended_clusters == spec.extended_clusters
+            assert list(got_tables) == list(tables)
+            for t, table in tables.items():
+                assert np.array_equal(got_tables[t], table), (r, t)
+    spec, _, _, assignment, tables = want[-1]
+    assert result.spec == spec and result.assignment == assignment
+    for t, table in tables.items():
+        assert np.array_equal(result.beliefs[t], table), t
+    # Every table is still a view into the one pack of its shape, also after
+    # packs were reallocated to grow.
+    bases = {}
+    for table in result.beliefs.tables.values():
+        assert bases.setdefault(table.shape, table.base) is table.base
+    return len(compiles), gained, result.closed
+
+
+def cycle_union(cycles):
+    cards, clusters, tables = [], [], []
+    for g in cycles:
+        offset = len(cards)
+        cards += g.cardinalities
+        for p in g.potentials:
+            clusters.append(tuple(v + offset for v in p.scope))
+            tables.append(p.values)
+    return FactorGraph(cards, clusters, tables)
+
+
+def test_hundred_cycles_match_full_compiles(monkeypatch):
+    master = XorShift64Star(3)
+    graph = cycle_union([frustrated_cycle(master.next_u64()) for _ in range(100)])
+    compiles, gained, closed = checked_pursuit(monkeypatch, graph, CYCLE_PARAMS)
+    assert closed and gained == 2
+    assert compiles == 1 + gained <= 4
+
+
+def test_ten_cycles_match_full_compiles(monkeypatch):
+    graph = cycle_union([frustrated_cycle(seed) for seed in range(10)])
+    compiles, gained, closed = checked_pursuit(monkeypatch, graph, CYCLE_PARAMS)
+    assert closed and compiles == 1 + gained
+
+
+def test_grid_matches_full_compiles(monkeypatch):
+    params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
+    compiles, gained, closed = checked_pursuit(monkeypatch, random_grid(6, 6, 3, 0), params)
+    assert closed and gained == 1
+    assert compiles == 2
+
+
+def test_message_mode_pursuit_trace_unchanged():
+    """Message mode rebuilds its state each round; its trace is pinned to
+    the one it had before belief mode kept its sweep across rounds."""
+    graph = cycle_union([frustrated_cycle(seed) for seed in range(4)])
+    params = SolverParams(max_sweeps=200, pursuit_sweeps=20, clusters_per_round=5)
+    result = run_with_pursuit(graph, dd_spec(graph), params, mode="messages")
+    bits = np.array(result.trace.duals + result.trace.primals).tobytes()
+    assert (result.rounds, len(result.trace)) == (3, 35)
+    assert hashlib.sha256(bits).hexdigest()[:16] == "4c1d7056c07a78bb"
+
+
+def test_rounds_that_add_nothing_match_full_compiles(monkeypatch):
+    """No round adds a cluster while the inner loop still descends, so the
+    kept sweep runs again on an unchanged spec until it converges."""
+    graph = cycle_union([frustrated_cycle(seed) for seed in range(3)])
+    params = SolverParams(max_sweeps=2, pursuit_sweeps=1)
+    compiles, gained, closed = checked_pursuit(
+        monkeypatch, graph, params, lambda spec, beliefs, **kwargs: []
+    )
+    assert compiles == 1 and gained == 0 and not closed

@@ -13,6 +13,7 @@ from maplp import (
     brute_force_map,
     dd_spec,
     energy,
+    init_beliefs,
     max_intersection_spec,
     pursuit_score,
     run,
@@ -217,3 +218,21 @@ class TestPursuitLoop:
         result = run_with_pursuit(g, dd_spec(g), SolverParams(max_sweeps=500, pursuit_sweeps=50))
         assert result.rounds >= 1
         assert calls == [g]
+
+
+@pytest.mark.parametrize("max_order", [float("nan"), 2.5, True, 0, -3, "8"])
+def test_bad_max_order_rejected(max_order):
+    # NaN would switch the union order cap off: len(union) > nan is False
+    g = frustrated_cycle(0)
+    spec = dd_spec(g)
+    with pytest.raises(ValueError, match="max_order"):
+        run_with_pursuit(g, spec, max_order=max_order)
+    with pytest.raises(ValueError, match="max_order"):
+        stealth_candidates(spec, init_beliefs(g, spec), max_order=max_order)
+
+
+def test_numpy_integer_max_order_accepted():
+    g = frustrated_cycle(0)
+    result = run_with_pursuit(g, dd_spec(g), SolverParams(max_sweeps=500, pursuit_sweeps=50),
+                              max_order=np.int64(4))
+    assert result.closed

@@ -8,6 +8,7 @@ import pytest
 from maplp import (
     FactorGraph,
     RelaxationError,
+    RelaxationSpec,
     affine_system_equal,
     affine_system_implies,
     all_subsets_spec,
@@ -196,3 +197,33 @@ class TestCrossBuilderProperties:
 
         with pytest.raises(RelaxationError):
             RelaxationSpec(((0, 1),), {(0, 1): ((2,),)})
+
+
+class TestWithClusters:
+    def test_grown_spec_equals_spec_built_whole(self, clique_grid):
+        spec = max_intersection_spec(clique_grid)
+        union = (0, 1, 2, 3, 4, 5)
+        added = {union: GRID_CLIQUES[:2], GRID_CLIQUES[2]: ((3, 4, 6),)}
+        grown = spec.with_clusters(added)
+        subs = {c: spec.subs_of(c) for c in spec.extended_clusters}
+        subs[union] = GRID_CLIQUES[:2]
+        subs[GRID_CLIQUES[2]] += ((3, 4, 6),)
+        whole = RelaxationSpec(spec.extended_clusters + (union,), subs)
+        assert grown == whole and grown.extended_clusters == whole.extended_clusters
+        assert grown.support == whole.support
+        for c in whole.extended_clusters:
+            assert grown.proper_subs_of(c) == whole.proper_subs_of(c)
+
+    def test_added_sub_cluster_containment_enforced(self, clique_grid):
+        spec = max_intersection_spec(clique_grid)
+        with pytest.raises(RelaxationError, match=r"\(8,\) is not contained"):
+            spec.with_clusters({(0, 1, 2, 3, 4, 5): ((8,),)})
+        with pytest.raises(RelaxationError, match=r"\(8,\) is not contained"):
+            spec.with_clusters({GRID_CLIQUES[0]: ((8,),)})
+
+    def test_derived_data_is_not_compared(self):
+        a = RelaxationSpec(((0, 1), (0,)), {(0, 1): ((0,), (0, 1))})
+        b = RelaxationSpec(((0, 1), (0,)), {(0, 1): ((0, 1), (0,))})
+        assert a.support == ((0,), (0, 1))
+        assert a == b and a.proper_subs_of((0, 1)) == ((0,),)
+        assert a.proper_subs_of((1,)) == ()
