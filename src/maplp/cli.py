@@ -250,3 +250,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:  # console entry point
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

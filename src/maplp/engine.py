@@ -23,57 +23,54 @@ to zero.
 
 Both modes run through one driver: one sweep loop, one trace record per
 sweep, one set of stopping rules (inner tolerance, sweep cap,
-``time_limit``).  The modes differ only in how the state is set up and in
-what one step of a sweep is.  In both, the state's tables are packed (see
-*Packed storage*) and the returned tables are views into the packs.  A
-message-mode sweep is a single step: every message update in insertion
-order, then the beliefs rebuilt into the packs.  It reports no block drop,
-so ``min_update_decrease`` applies to belief mode only and reads 0.0 in
-message mode.
+``time_limit``).  The state's tables live in one flat float64 store, each
+at a fixed offset, and the returned tables are views into it; the dual, the
+decoder and pursuit's candidate search read it too.  A message-mode sweep
+is one step: every message update in insertion order, then the beliefs
+rebuilt into the store.  It reports no block drop, so
+``min_update_decrease`` reads 0.0 in message mode.
 
-In belief mode the driver compiles the sweep once per call into steps:
+In belief mode the sweep is compiled into one step per level.
+``level(c) = 1 + max level of the earlier updating clusters that share a
+table with c``; the updates of one level touch disjoint tables and commute,
+so running the levels in order gives exactly the insertion-order iterates
+(any schedule that respects these dependencies does; Globerson & Jaakkola,
+NIPS 2007; Kolmogorov, PAMI 2006).  A :class:`_Level` step runs every
+update of its level in numpy calls that grow with its largest sub count and
+its (shape, sub layout) batches, not its members; the per-cell index maps
+are rebuilt per call from shared templates, since kept they would outweigh
+the tables.  On a 16x16 grid with 3 states that is 47 /
+47 / 121 / 61 / 43 steps per sweep for ``gmplp`` / ``dd`` / ``ps`` /
+``pi-s`` / ``mi``.
 
-* **Levels.** ``level(c) = 1 + max level of the earlier updating clusters
-  that share a table with c``.  The updates of one level touch disjoint
-  tables and commute, so running the levels in order gives exactly the
-  insertion-order iterates (any schedule that respects these dependencies
-  does; Globerson & Jaakkola, NIPS 2007; Kolmogorov, PAMI 2006).
-* **Shape groups.** Within a level, the clusters with one table shape and
-  one sub-cluster layout (the kept axes of each sub, in sub order) run as
-  one numpy update.  A group of one runs on basic-index views with scalar
-  maxima, as cheap as a lone update.
-* **Packed storage.** The state's tables are stacked into one array per
-  table shape, one table per row, so a group gathers each role with one
-  row index per member.  On return every table of the ``BeliefState`` is a
-  view into this shared storage.  Tables added to the state afterwards
-  (pursuit adds zero tables for new clusters) are packed by the next run.
-* **Summation order.** Each cluster keeps its float operations in the
-  one-cluster order: ``joint = b_c + b_s1 + ...``, then each new sub-table
-  ``max * (1/|S|)``, then the subtractions in sub order.  The dual adds the
-  table maxima left to right in the state's own table order, and the
-  primal adds the potential entries left to right in potential order.  So
-  dual and primal traces, final tables, the assignment and
-  ``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
-  sweep.
+Each cluster keeps its float operations in the one-cluster order: ``joint
+= b_c + b_s1 + ...``, each new sub-table ``max * (1/|S|)``, then the
+subtractions in sub order.  Sums over a cluster's roles are in-place adds,
+one role at a time: ``np.sum`` and ``np.add.reduce`` may add pairwise, and
+``np.add.accumulate``, sequential too, is many times slower along that
+axis.  Maxima are exact in any order; a padded role adds zero.  The dual
+adds the table maxima left to right in table order, the primal the
+potential entries in potential order.  So traces, tables, the assignment
+and ``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
+sweep.
 
-What a pursuit round costs.  Pursuit keeps one :class:`_Sweep` across its
-belief-mode rounds.  A round that only appends clusters packs just the new
-tables (a full pack is reallocated with twice the rows), schedules just the
-new clusters against the kept level map, and rebuilds only the steps of the
-batches they join and of the batches reading a reallocated pack: the steps
-equal those of a full compile of the grown spec, at a cost that grows with
-what the round adds.  Only a round in
-which an existing extended cluster gains sub-clusters compiles from
-scratch; on 100 frustrated 4-cycles (seed 3) that is 2 of 13 rounds, so a
-solve makes 3 full compiles instead of 14.  Message mode rebuilds its
-state each round.
+Pursuit keeps one :class:`_Sweep` across its belief-mode rounds.  A round
+that only appends clusters stores just the new tables (a full store is
+reallocated at twice the size) and rebuilds only the steps of the levels
+the new clusters join, so the steps equal a full compile's.  Only a round
+in which an existing extended cluster gains sub-clusters compiles from
+scratch: 2 of 13 rounds on 100 frustrated 4-cycles (seed 3).  Message mode
+rebuilds its state each round.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
+from math import prod
 from numbers import Integral
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -209,130 +206,89 @@ def init_messages(spec: RelaxationSpec, cardinalities: Sequence[int]) -> Message
     }
 
 
-class _Packing:
-    """The tables of a state stacked by shape: one array per table shape,
-    one table per row.  The dual and the decoder read all tables with one
-    numpy reduction per shape.
-
-    A packing can grow: :meth:`grow` appends tables as new rows, into a
-    pack's spare rows when it has some, else into a reallocated pack with
-    twice the rows.  A table's ``(pack, row)`` never changes, but views and
-    references into a reallocated pack go stale.
-
-    With ``cardinalities`` given, every table must have the shape of its
-    scope.
+class _Store:
+    """A state's tables in one flat float64 array :attr:`buf`, each at a
+    fixed offset; cell 0 stays zero for padded roles.  :meth:`grow` appends
+    tables, reallocating at twice the size when they do not fit, so steps
+    read :attr:`buf` per call.  With ``cardinalities``, shapes are checked.
     """
 
-    def __init__(
-        self,
-        tables: Mapping[Cluster, np.ndarray],
-        cardinalities: Sequence[int] | None = None,
-    ):
+    def __init__(self, tables: Mapping[Cluster, np.ndarray],
+                 cardinalities: Sequence[int] | None = None):
         self.cardinalities = cardinalities
-        self.packs: list[np.ndarray] = []
-        # The tables of each pack, by row; rows past them are spare.
-        self.members: list[list[Cluster]] = []
-        self.where: dict[Cluster, tuple[int, int]] = {}
-        # A variable's owner is the smallest, then lexicographically first,
-        # table containing it; the decoder reads its state there.  Found
-        # when first decoding, then kept up to date as the packing grows.
+        self.buf = np.zeros(1)
+        self.used = 1
+        self.where: dict[Cluster, int] = {}
+        self.shape: dict[Cluster, tuple[int, ...]] = {}
+        # Each variable's owner, the smallest then lexicographically first
+        # table containing it, found when first decoding and kept up to date.
         self._owner: dict[int, Cluster] | None = None
-        self._pack_of: dict[tuple[int, ...], int] = {}
         self.grow(tables)
 
-    def grow(self, tables: Mapping[Cluster, np.ndarray]) -> list[Cluster]:
-        """Pack the tables of ``tables`` that are not packed yet, and take
-        ``tables``' order as the dual's summation order.  Returns the tables
-        whose views changed: the new ones and those of reallocated packs."""
-        by_shape: dict[tuple[int, ...], list[Cluster]] = {}
-        cards = self.cardinalities
-        for t, v in tables.items():
-            if t in self.where:
-                continue
-            if cards is not None and v.shape != table_shape(t, cards):
-                raise InvalidModelError(
-                    f"table for cluster {t} has shape {v.shape}, "
-                    f"expected {table_shape(t, cards)}"
-                )
-            by_shape.setdefault(v.shape, []).append(t)
-        moved: list[Cluster] = []
-        for shape, ts in by_shape.items():
-            block = np.stack([tables[t] for t in ts], dtype=np.float64)
-            k = self._pack_of.get(shape)
-            if k is None:
-                k = self._pack_of[shape] = len(self.packs)
-                self.packs.append(block)
-                self.members.append([])
-            else:
-                pack, n = self.packs[k], len(self.members[k])
-                if n + len(ts) > len(pack):
-                    grown = np.empty((max(n + len(ts), 2 * len(pack)), *shape))
-                    grown[:n] = pack[:n]
-                    self.packs[k] = pack = grown
-                    moved += self.members[k]
-                pack[n:n + len(ts)] = block
-            for t in ts:
-                self.where[t] = (k, len(self.members[k]))
-                self.members[k].append(t)
-            if self._owner is not None:
-                self._claim(ts)
-            moved += ts
-        offsets = [0]
-        for ts in self.members:
-            offsets.append(offsets[-1] + len(ts))
-        self._order = np.array(
-            [offsets[k] + row for k, row in map(self.where.__getitem__, tables)],
-            dtype=np.intp,
-        )
-        self._decoder: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] | None = None
-        return moved
+    def grow(self, tables: Mapping[Cluster, np.ndarray]) -> tuple[list[Cluster], bool]:
+        """Store the tables of ``tables`` that are not stored yet, and take
+        ``tables``' order as the dual's summation order.  Returns the new
+        tables and whether the array was reallocated."""
+        new = [t for t in tables if t not in self.where]
+        start, cards, shapes = self.used, self.cardinalities, {}
+        for t in new:
+            if cards is not None and tables[t].shape != table_shape(t, cards):
+                raise InvalidModelError(f"table for cluster {t} has shape "
+                                        f"{tables[t].shape}, expected {table_shape(t, cards)}")
+        for t in new:
+            self.where[t], shape = self.used, tables[t].shape
+            self.shape[t] = shape = shapes.setdefault(shape, shape)
+            self.used += prod(shape)
+        values = [tables[t] for t in new]
+        moved = self.used > len(self.buf)
+        if moved:
+            spare = np.zeros(max(0, 2 * len(self.buf) - self.used))
+            self.buf = np.concatenate([self.buf[:start], *values, spare], axis=None)
+        elif new:
+            self.buf[start:self.used] = np.concatenate(values, axis=None)
+        if new and self._owner is not None:
+            self._claim(new)
+        self._offsets = np.fromiter(self.where.values(), np.intp, len(self.where))
+        rank = dict(zip(self.where, range(len(self.where))))
+        self._order = np.fromiter(map(rank.__getitem__, tables), np.intp, len(tables))
+        self._decoder: list[tuple] | None = None
+        return new, moved
 
     def bind(self, tables: dict[Cluster, np.ndarray], clusters: Iterable[Cluster]) -> None:
-        """Point ``tables[t]`` at its view into the packs, for each ``t``."""
+        """Point ``tables[t]`` at its view into the store, for each ``t``."""
         for t in clusters:
             tables[t] = self.view(t)
 
-    def refill(self, tables: Mapping[Cluster, np.ndarray]) -> None:
-        """Copy new values of the packed tables into the packs."""
-        for t, v in tables.items():
-            k, row = self.where[t]
-            self.packs[k][row] = v
-
     def view(self, t: Cluster) -> np.ndarray:
-        """Table ``t`` as a view into its pack."""
-        k, row = self.where[t]
-        return self.packs[k][row]
+        """Table ``t`` as a view into the store."""
+        shape, offset = self.shape[t], self.where[t]
+        return self.buf[offset:offset + prod(shape)].reshape(shape)
+
+    def cells(self, ts: Sequence[Cluster]) -> np.ndarray:
+        """Store indices of the tables ``ts``, all of one size: one row of
+        cells per table."""
+        offsets = np.fromiter(map(self.where.__getitem__, ts), np.intp, len(ts))
+        return offsets[:, None] + np.arange(prod(self.shape[ts[0]]))
 
     def dual(self) -> float:
-        """Sum of the table maxima, left to right in table order.  Not
-        ``np.sum``, which adds pairwise, nor builtin ``sum``, which
-        compensates float lists from Python 3.12 on: dual traces are
-        defined by this order."""
+        """Sum of the table maxima, left to right in table order: not
+        ``np.sum`` (pairwise) nor builtin ``sum`` (compensated from Python
+        3.12 on), since dual traces are defined by this order."""
         total = 0.0
-        if self.packs:
-            maxima = np.concatenate([self._rows(k).max(axis=1) for k in range(len(self.packs))])
+        if self.where:
+            maxima = np.maximum.reduceat(self.buf[:self.used], self._offsets)
             for m in maxima[self._order].tolist():
                 total += m
         return total
 
-    def _rows(self, k: int) -> np.ndarray:
-        """The tables of pack ``k``, one flattened table per row."""
-        pack, n = self.packs[k], len(self.members[k])
-        return pack.reshape(n, -1) if n == len(pack) else pack[:n].reshape(n, -1)
-
-    def first_maximisers(self, k: int) -> np.ndarray:
-        """The first (lowest flat index) maximiser of each table in pack
-        ``k``: one row per axis, one column per table."""
-        first = self._rows(k).argmax(axis=1)
-        return np.array(np.unravel_index(first, self.packs[k].shape[1:]))
-
     def states(self, num_vars: int) -> list[int]:
         """Decoded state of every variable (see :func:`decode`)."""
         if self._decoder is None:
-            self._decoder = self._owner_axes(num_vars)
+            self._decoder = self._owner_cells(num_vars)
         states = np.zeros(num_vars, dtype=np.intp)
-        for k, variables, axes, rows in self._decoder:
-            states[variables] = self.first_maximisers(k)[axes, rows]
+        for shape, cells, variables, axes, rows in self._decoder:
+            first = np.unravel_index(self.buf[cells].argmax(axis=1), shape)
+            states[variables] = np.array(first)[axes, rows]
         return states.tolist()
 
     def _claim(self, tables: Iterable[Cluster]) -> None:
@@ -345,29 +301,30 @@ class _Packing:
                 if o is None or len(t) < len(o) or (len(t) == len(o) and t < o):
                     owner[v] = t
 
-    def _owner_axes(self, num_vars: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per pack holding owner tables: the variables they own, with the
-        axis and row of each."""
+    def _owner_cells(self, num_vars: int) -> list[tuple]:
+        """Per shape of owner tables: the shape, the owners' cells, and the
+        variables they own with the axis and owner row of each."""
         if self._owner is None:
             self._owner = {}
             self._claim(self.where)
-        by_pack: dict[int, list[tuple[int, int, int]]] = {}
+        by_shape: dict[tuple[int, ...], tuple[dict[Cluster, int], list]] = {}
         for i in range(num_vars):
             t = self._owner.get(i)
             if t is None:
                 raise CoverageError(f"variable {i} appears in no support cluster")
-            k, row = self.where[t]
-            by_pack.setdefault(k, []).append((i, t.index(i), row))
+            rows, owned = by_shape.setdefault(self.shape[t], ({}, []))
+            owned.append((i, t.index(i), rows.setdefault(t, len(rows))))
         return [
-            (k, *(np.array(column, dtype=np.intp) for column in zip(*owned)))
-            for k, owned in by_pack.items()
+            (shape, self.cells(list(rows)),
+             *(np.array(column, dtype=np.intp) for column in zip(*owned)))
+            for shape, (rows, owned) in by_shape.items()
         ]
 
 
 def dual_objective(beliefs: BeliefState) -> float:
     """Sum over the support of each table's maximum entry, added left to
     right in the state's table order."""
-    return _Packing(beliefs.tables).dual()
+    return _Store(beliefs.tables).dual()
 
 
 def dual_decrease(beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Cluster]) -> float:
@@ -386,54 +343,121 @@ def dual_decrease(beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Clust
     return separate - float(joint.max())
 
 
-def _block_update(bc, bss, embeds, axes, inv, out_c, out_subs) -> float:
-    """The block update kernel for one cluster; returns its dual drop.
+def _template(shape: tuple[int, ...], layout: tuple, roles: int, cache: dict) -> tuple:
+    """Index maps shared by one table shape and sub layout (the kept axes of
+    each sub).  ``gather``: per role, the cell itself or the sub cell each
+    cell projects to (zero in padded rows).  ``groups``: per depth (cells
+    per sub cell), a column per sub cell listing the cells projecting to
+    it.  ``place``: each sub's depth and first column."""
+    key = (shape, layout, roles)
+    if key not in cache:
+        cells = prod(shape)
+        gather = np.zeros((roles, cells), dtype=np.intp)
+        gather[0] = np.arange(cells)
+        groups: dict[int, list[np.ndarray]] = {}
+        place = []
+        for r, kept in enumerate(layout, 1):
+            sub = np.arange(prod(shape[i] for i in kept)).reshape([shape[i] for i in kept])
+            embed = tuple(slice(None) if i in kept else None for i in range(len(shape)))
+            gather[r] = np.broadcast_to(sub[embed], shape).reshape(-1)
+            dropped = [i for i in range(len(shape)) if i not in kept]
+            by_cell = gather[0].reshape(shape).transpose([*kept, *dropped]).reshape(sub.size, -1).T
+            columns = groups.setdefault(len(by_cell), [])
+            place.append((len(by_cell), sum(c.shape[1] for c in columns)))
+            columns.append(by_cell)
+        groups = {d: np.concatenate(columns, axis=1) for d, columns in groups.items()}
+        cache[key] = (gather, groups, place)
+    return cache[key]
 
-    ``joint = b_c + b_s1 + ...``; every new sub-table is ``max over c\\s of
-    joint, times 1/|S|``, all from the same pre-update joint; the new cluster
-    table is ``joint`` minus the new sub-tables in sub order.  The outputs
-    may alias the inputs.
-    """
-    joint = bc.copy()
-    before = float(bc.max())
-    for bs, e in zip(bss, embeds):
-        joint += bs[e]
-        before += float(bs.max())
-    after = 0.0
-    for ax, out in zip(axes, out_subs):
-        np.multiply(joint.max(axis=ax), inv, out=out)
-        after += float(out.max())
-    for out, e in zip(out_subs, embeds):
-        joint -= out[e]
-    out_c[...] = joint
-    after += float(joint.max())
-    return before - after
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _group_update(cpack, crows, subs, inv) -> float:
-    """:func:`_block_update` for a group of clusters sharing one table shape
-    and sub-cluster layout, with the same operations per member; one row
-    per member in each pack.  Returns the smallest member drop."""
-    n = len(crows)
-    joint = cpack[crows]
-    before = joint.reshape(n, -1).max(axis=1)
-    for spack, srows, e, _ in subs:
-        bs = spack[srows]
-        joint += bs[e]
-        before += bs.reshape(n, -1).max(axis=1)
-    after = 0.0
-    news = []
-    for _, _, _, ax in subs:
-        ns = joint.max(axis=ax)
-        ns *= inv
-        after = after + ns.reshape(n, -1).max(axis=1)
-        news.append(ns)
-    for ns, (spack, srows, e, _) in zip(news, subs):
-        joint -= ns[e]
-        spack[srows] = ns
-    cpack[crows] = joint
-    after = after + joint.reshape(n, -1).max(axis=1)
-    return float((before - after).min())
+class _Level:
+    """The block updates of one level (``batches``: members by table shape
+    and sub layout) as one step over a :class:`_Store`; a call returns the
+    smallest drop.  It gathers ``X``, one row per role and one column per
+    member cell: the members' tables, then each member's ``r``-th sub
+    broadcast into its cells (the store's zero cell past its last sub).  New
+    sub-table cells are one maximum per depth (cells projecting to one) over
+    a ``(depth, new cells)`` gather of the joint, gathered back into ``X``
+    to subtract; ``X`` is then scattered to the store."""
+
+    def __init__(self, store: _Store, batches: Mapping[tuple, list[Cluster]],
+                 subs_of: Callable[[Cluster], Sequence[Cluster]], templates: dict):
+        self.store = store
+        self.K = K = max(len(layout) for _, layout in batches)
+        found = [(members, _template(shape, layout, K + 1, templates))
+                 for (shape, layout), members in batches.items()]
+        counts: dict[int, int] = {}
+        for members, (_, groups, _) in found:
+            for d, columns in groups.items():
+                counts[d] = counts.get(d, 0) + len(members) * columns.shape[1]
+        # The new cells, past a zero at 0: by depth, then batch, member, sub.
+        depths = sorted(counts)
+        bounds = dict(zip(depths, np.cumsum([1] + [counts[d] for d in depths]).tolist()))
+        self.size = 1 + sum(counts.values())
+        self.gather, self.depths, deltas, cells, blocks = [], {}, [], [], {}
+        first = 0
+        for members, (gather, groups, place) in found:
+            n, N, k = len(members), gather.shape[1], len(place)
+            touched = chain.from_iterable((c, *subs_of(c)) for c in members)
+            offsets = np.zeros((K + 1, n), dtype=np.intp)
+            offsets[:k + 1] = np.fromiter(
+                map(store.where.__getitem__, touched), np.intp, n * (k + 1)
+            ).reshape(n, k + 1).T
+            member_base = first + N * np.arange(n)
+            base = {}
+            for d, columns in groups.items():
+                self.depths.setdefault(d, []).append((columns, member_base))
+                base[d] = bounds[d]
+                bounds[d] += n * columns.shape[1]
+                blocks.setdefault(d, []).append((1.0 / k, n * columns.shape[1]))
+            # Where each role's new sub-table starts, minus its store offset.
+            delta = np.zeros((K, n), dtype=np.intp)
+            for r, (d, column) in enumerate(place):
+                delta[r] = base[d] + column + groups[d].shape[1] * np.arange(n) - offsets[r + 1]
+            self.gather.append((gather, offsets))
+            deltas.append(delta)
+            cells += [N] * n
+            first += N * n
+        self.depths = sorted(self.depths.items())
+        self.inv, self.new_cells = map(np.array, zip(*(b for d in depths for b in blocks[d])))
+        self.delta = np.concatenate(deltas, axis=1)
+        self.cells = np.array(cells, dtype=np.intp)
+        self.starts = np.cumsum(self.cells) - self.cells
+
+    def __call__(self) -> float:
+        buf, K = self.store.buf, self.K
+        G = _joined([(g[:, None, :] + o[:, :, None]).reshape(K + 1, -1) for g, o in self.gather])
+        X = buf[G]
+        before = np.maximum.reduceat(X, self.starts, axis=1)
+        joint = X[0]
+        for r in range(1, K + 1):
+            joint += X[r]
+            before[0] += before[r]
+        new = np.empty(self.size)
+        new[0] = 0.0
+        start = 1
+        for d, parts in self.depths:
+            Q = _joined([(q[:, None, :] + b[:, None]).reshape(d, -1) for q, b in parts])
+            np.maximum.reduce(joint[Q], axis=0, out=new[start:start + Q.shape[1]])
+            start += Q.shape[1]
+        new[1:] *= np.repeat(self.inv, self.new_cells)
+        R = np.repeat(self.delta, self.cells, axis=1)
+        R += G[1:]
+        # In range by construction; "clip" writes to X without a buffer.
+        np.take(new, R, out=X[1:], mode="clip")
+        for r in range(1, K + 1):
+            joint -= X[r]
+        maxima = np.maximum.reduceat(X, self.starts, axis=1)
+        after = maxima[1]
+        for r in range(2, K + 1):
+            after += maxima[r]
+        after += maxima[0]
+        buf[G] = X
+        return float((before[0] - after).min())
 
 
 def update_cluster_beliefs(
@@ -451,19 +475,14 @@ def update_cluster_beliefs(
     bc = beliefs[c]
     if bc.ndim != len(c):
         raise InvalidModelError(f"table for {c} has {bc.ndim} axes, expected {len(c)}")
-    bss = [beliefs[s] for s in subs]
-    axes = [_max_axes(s, c) for s in subs]
-    for s, bs, ax in zip(subs, bss, axes):
-        want = tuple(n for i, n in enumerate(bc.shape) if i not in ax)
-        if bs.shape != want:
-            raise InvalidModelError(f"table for {s} has shape {bs.shape}, expected {want}")
-    new_c = np.empty(bc.shape)
-    new_subs = [np.empty(bs.shape) for bs in bss]
-    embeds = [_embed_index(s, c) for s in subs]
-    drop = _block_update(bc, bss, embeds, axes, 1.0 / len(subs), new_c, new_subs)
-    for s, ns in zip(subs, new_subs):
-        beliefs[s] = ns
-    beliefs[c] = new_c
+    layout = tuple(tuple(i for i, v in enumerate(c) if v in s) for s in subs)
+    for s, kept in zip(subs, layout):
+        want = tuple(bc.shape[i] for i in kept)
+        if beliefs[s].shape != want:
+            raise InvalidModelError(f"table for {s} has shape {beliefs[s].shape}, expected {want}")
+    store = _Store({t: beliefs[t] for t in (c, *subs)})
+    drop = _Level(store, {(bc.shape, layout): [c]}, lambda _: subs, {})()
+    store.bind(beliefs.tables, (c, *subs))
     return drop
 
 
@@ -475,7 +494,7 @@ def decode(beliefs: BeliefState, graph: FactorGraph) -> tuple[int, ...]:
     lexicographically first among equal sizes.  Ties resolve to the lowest
     flat index, hence the lexicographically smallest configuration.
     """
-    return tuple(_Packing(beliefs.tables).states(graph.num_vars))
+    return tuple(_Store(beliefs.tables).states(graph.num_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +530,12 @@ def _schedule(
     clusters: Sequence[Cluster],
     cardinalities: Sequence[int],
     levels: dict[Cluster, int],
-    batches: dict[tuple, list[Cluster]],
-) -> set[tuple]:
-    """Add the updating clusters among ``clusters`` to ``batches``; returns
-    the keys of the batches that changed.
-
-    ``level(c) = 1 + max level of the earlier updating clusters sharing a
-    table with c``; clusters of one level touch disjoint tables, so running
-    the levels in order reproduces the insertion-order sweep.  Within a
-    level, clusters with one table shape and one sub-cluster layout (the
-    kept axes of each sub, in sub order) form one batch, in insertion order,
-    keyed by ``(level, shape, layout)``.  ``levels`` holds the level of the
-    latest cluster touching each table and is updated, so clusters appended
-    to a spec land in exactly the batches a schedule of the whole spec has.
-    """
+    batches: dict[int, dict[tuple, list[Cluster]]],
+) -> set[int]:
+    """Add the updating clusters among ``clusters`` to their levels in
+    ``batches``, by table shape and sub layout; returns the changed levels.
+    ``levels``, the level of the latest cluster touching each table, is
+    updated, so appended clusters land where a full schedule puts them."""
     changed = set()
     for c in clusters:
         subs = spec.proper_subs_of(c)
@@ -535,53 +546,38 @@ def _schedule(
         for t in touched:
             levels[t] = level
         layout = tuple(tuple(i for i, v in enumerate(c) if v in s) for s in subs)
-        key = (level, table_shape(c, cardinalities), layout)
-        batches.setdefault(key, []).append(c)
-        changed.add(key)
+        key = (table_shape(c, cardinalities), layout)
+        batches.setdefault(level, {}).setdefault(key, []).append(c)
+        changed.add(level)
     return changed
 
 
-def _batch_step(
-    spec: RelaxationSpec, members: list[Cluster], packing: _Packing
-) -> Callable[[], float]:
-    """A call that applies the block updates of one batch to the packed
-    tables and returns the smallest drop among them.  It holds the packs it
-    reads, so it goes stale when one of them is reallocated."""
-    where, packs = packing.where, packing.packs
-    c = members[0]
-    subs = spec.proper_subs_of(c)
-    inv = 1.0 / len(subs)
-    if len(members) == 1:
-        # Basic-index views and scalar maxima: no gather for one table.
-        bc = packing.view(c)
-        bss = [packing.view(s) for s in subs]
-        embeds = [_embed_index(s, c) for s in subs]
-        axes = [_max_axes(s, c) for s in subs]
-        return partial(_block_update, bc, bss, embeds, axes, inv, bc, bss)
-    member_subs = [spec.proper_subs_of(m) for m in members]
-    batch_subs = []
-    for i, s in enumerate(subs):
-        rows = np.array([where[ms[i]][1] for ms in member_subs], dtype=np.intp)
-        embed = (slice(None),) + _embed_index(s, c)
-        axes = tuple(a + 1 for a in _max_axes(s, c))
-        batch_subs.append((packs[where[s][0]], rows, embed, axes))
-    crows = np.array([where[m][1] for m in members], dtype=np.intp)
-    return partial(_group_update, packs[where[c][0]], crows, batch_subs, inv)
+# Cells times roles one part of a step gathers at most, so a call's arrays
+# stay within 64 KiB each; no level of the 16x16x3 grid needs two parts.
+_PART_CELLS = 8192
+
+
+def _parts(batches: Mapping[tuple, list[Cluster]]) -> list[dict[tuple, list[Cluster]]]:
+    """A level's batches split into parts within ``_PART_CELLS``, batches
+    with fewer subs first so that a part pads few roles."""
+    parts, cells = [{}], 0
+    for key, members in sorted(batches.items(), key=lambda kv: len(kv[0][1])):
+        roles, size = len(key[1]) + 1, prod(key[0])
+        for c in members:
+            if cells and roles * (cells + size) > _PART_CELLS:
+                parts.append({})
+                cells = 0
+            parts[-1].setdefault(key, []).append(c)
+            cells += size
+    return parts
 
 
 class _Sweep:
-    """The compiled belief-mode sweep of a spec over a packed state: one
-    step per batch of :func:`_schedule`, in level order.
-
-    :meth:`prepare` compiles it, or grows it in place when the new spec
-    only appends clusters to the one compiled before, over the same state.
-    Then the new tables are packed, the appended clusters get their levels
-    from the kept level map and join the batches a full compile would put
-    them in, and only the steps of those batches, and of the batches whose
-    packs were reallocated to grow, are built again.  The steps are
-    therefore those of a full compile.  Anything else (an existing cluster
-    gaining sub-clusters, another state) compiles from scratch.
-    """
+    """The compiled belief-mode sweep of a spec over a stored state, one
+    step per level.  :meth:`prepare` compiles it or, when the spec only
+    appends clusters to the last one over the same state, stores the new
+    tables and rebuilds the steps of the levels they join, which leaves a
+    full compile's steps.  Anything else compiles from scratch."""
 
     def __init__(self, cardinalities: Sequence[int]):
         self.cardinalities = cardinalities
@@ -596,35 +592,27 @@ class _Sweep:
             and old.sub_clusters.items() <= spec.sub_clusters.items()
         ):
             clusters = spec.extended_clusters[len(old.extended_clusters):]
-            packs = list(self.packing.packs)
-            self.packing.bind(state.tables, self.packing.grow(state.tables))
-            stale = {
-                key
-                for k, pack in enumerate(packs) if self.packing.packs[k] is not pack
-                for key in self._readers.get(k, ())
-            }
+            new, moved = self.store.grow(state.tables)
+            self.store.bind(state.tables, list(self.store.where) if moved else new)
         else:
             clusters = spec.extended_clusters
             self._compile(state)
-            stale = set()
-        where = self.packing.where
-        for key in stale | _schedule(spec, clusters, self.cardinalities, self.levels, self.batches):
-            members = self.batches[key]
-            self._step_of[key] = _batch_step(spec, members, self.packing)
-            for t in (members[0], *spec.proper_subs_of(members[0])):
-                self._readers.setdefault(where[t][0], set()).add(key)
-        self.steps = [self._step_of[key] for key in sorted(self.batches, key=itemgetter(0))]
+        for level in sorted(_schedule(spec, clusters, self.cardinalities, self.levels, self.batches)):
+            parts = [_Level(self.store, part, spec.proper_subs_of, self._templates)
+                     for part in _parts(self.batches[level])]
+            self.steps[level - 1:level] = [
+                parts[0] if len(parts) == 1 else lambda parts=parts: min(p() for p in parts)]
         self.spec, self.state = spec, state
 
     def _compile(self, state: BeliefState) -> None:
-        """Start over: pack the whole state and forget every batch."""
-        self.packing = _Packing(state.tables, self.cardinalities)
-        self.packing.bind(state.tables, list(self.packing.where))
+        """Start over: store the whole state and forget every level."""
+        self.store = _Store(state.tables, self.cardinalities)
+        self.store.bind(state.tables, list(self.store.where))
         self.levels: dict[Cluster, int] = {}
-        self.batches: dict[tuple, list[Cluster]] = {}
-        self._step_of: dict[tuple, Callable[[], float]] = {}
-        # The batches whose steps read each pack.
-        self._readers: dict[int, set[tuple]] = {}
+        self.batches: dict[int, dict[tuple, list[Cluster]]] = {}
+        self.steps: list[_Level] = []
+        # Index templates by (table shape, sub layout, roles).
+        self._templates: dict[tuple, tuple] = {}
 
 
 class _Primal:
@@ -653,9 +641,8 @@ def run(
     """Sweep the extended clusters until the dual stalls or a cap is hit.
 
     A passed ``beliefs`` warm-starts belief mode.  Returns the trace, final
-    state and decoded assignment.  In both modes the returned tables (and
-    those of a passed ``beliefs``) are views into storage shared by all
-    tables of one shape.
+    state and decoded assignment; the returned tables (and those of a passed
+    ``beliefs``) are views into one flat array shared by all tables.
 
     Raises :class:`InvalidModelError` when ``validate(graph)`` reports a
     problem or a passed table has the wrong shape.
@@ -706,7 +693,7 @@ def _run(
             raise CoverageError(f"support clusters {missing} have no belief table")
         sweep = _Sweep(graph.cardinalities) if sweep is None else sweep
         sweep.prepare(spec, state)
-        packing, steps = sweep.packing, sweep.steps
+        store, steps = sweep.store, sweep.steps
     else:
         ctx = _MessageContext(graph, spec)
         if messages is None:
@@ -717,9 +704,9 @@ def _run(
                     f"original cluster {c} has no table under this relaxation"
                 )
         state = ctx.beliefs(messages)
-        packing = _Packing(state.tables, graph.cardinalities)
-        packing.bind(state.tables, list(packing.where))
-        steps = [partial(_message_sweep, messages, ctx, packing)]
+        store = _Store(state.tables, graph.cardinalities)
+        store.bind(state.tables, list(store.where))
+        steps = [partial(_message_sweep, messages, ctx, store)]
 
     trace = DualTrace()
     min_drop = float("inf")
@@ -727,15 +714,15 @@ def _run(
     converged = False
     primal = _Primal(graph)
     # Decoding once up front reports a variable in no table before any sweep.
-    x = packing.states(graph.num_vars)
-    g_prev = packing.dual()
+    x = store.states(graph.num_vars)
+    g_prev = store.dual()
     for sweep in range(1, cap + 1):
         for step in steps:
             drop = step()
             if drop < min_drop:
                 min_drop = drop
-        g = packing.dual()
-        x = packing.states(graph.num_vars)
+        g = store.dual()
+        x = store.states(graph.num_vars)
         trace.append(TraceRecord(
             sweep=sweep_offset + sweep,
             seconds=time.perf_counter() - t0,
@@ -768,11 +755,12 @@ def _run(
 
 
 class _MessageContext:
-    """Static structure shared by all message-mode updates: who sends to
-    whom, and the potential table of each support cluster (zero if absent)."""
+    """Static structure shared by all message-mode updates: the sweep order,
+    who sends to whom, and the potential table of each support cluster
+    (zero if absent).  It holds neither the graph nor the spec."""
 
     def __init__(self, graph: FactorGraph, spec: RelaxationSpec):
-        self.spec = spec
+        self.order = spec.extended_clusters
         self.cards = graph.cardinalities
         self.support = spec.support
         self.theta: dict[Cluster, np.ndarray] = {}
@@ -807,11 +795,22 @@ class _MessageContext:
         return BeliefState({t: self.belief(msgs, t) for t in self.support})
 
 
+# The latest update_cluster_messages context, with its graph and spec.
+_last_context: tuple = (None, None, None)
+
+
 def update_cluster_messages(
     messages: Messages, graph: FactorGraph, spec: RelaxationSpec, c: Cluster
 ) -> None:
-    """One block update of all messages out of ``c`` (closed form)."""
-    ctx = _MessageContext(graph, spec)
+    """One block update of all messages out of ``c`` (closed form).
+
+    Repeated calls on the same ``graph`` and ``spec`` objects share one
+    message context, which keeps neither of them alive."""
+    global _last_context
+    graph_ref, spec_ref, ctx = _last_context
+    if graph_ref is None or graph_ref() is not graph or spec_ref() is not spec:
+        ctx = _MessageContext(graph, spec)
+        _last_context = (weakref.ref(graph), weakref.ref(spec), ctx)
     _update_messages(messages, ctx, c)
 
 
@@ -836,13 +835,14 @@ def _update_messages(msgs: Messages, ctx: _MessageContext, c: Cluster) -> None:
         msgs[(c, s)] = new
 
 
-def _message_sweep(msgs: Messages, ctx: _MessageContext, packing: _Packing) -> float:
+def _message_sweep(msgs: Messages, ctx: _MessageContext, store: _Store) -> float:
     """Message mode's whole sweep as one step: every extended cluster in
-    insertion order, then the beliefs rebuilt into the packs.  Reports no
+    insertion order, then the beliefs rebuilt into the store.  Reports no
     block drop."""
-    for c in ctx.spec.extended_clusters:
+    for c in ctx.order:
         _update_messages(msgs, ctx, c)
-    packing.refill(ctx.beliefs(msgs).tables)
+    for t, v in ctx.beliefs(msgs).tables.items():
+        store.view(t)[...] = v
     return float("inf")
 
 

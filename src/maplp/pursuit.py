@@ -38,13 +38,13 @@ from .engine import (
     SolverParams,
     _check_model,
     _embed_index,
-    _Packing,
     _run,
+    _Store,
     _Sweep,
     init_messages,
 )
 from .factor_graph import Cluster, FactorGraph, table_shape
-from .relaxations import RelaxationSpec, _canonical, _incidence, _inside
+from .relaxations import RelaxationSpec, _canonical, _inside
 
 logger = logging.getLogger(__name__)
 
@@ -125,12 +125,15 @@ def stealth_candidates(
     # senders[s]: the extended clusters listing s as a proper sub-cluster,
     # so two clusters have a common parent when their senders meet.
     senders: dict[Cluster, list[Cluster]] = {}
+    parents = []
     for c in spec.extended_clusters:
         for s in spec.proper_subs_of(c):
             senders.setdefault(s, []).append(c)
+        if spec.proper_subs_of(c):
+            parents.append(c)
     tables = beliefs.tables
-    packing = _Packing({t: tables[t] for t in spec.support if t in tables})
-    state_of = _first_maximisers(packing)
+    store = _Store({t: tables[t] for t in spec.support if t in tables})
+    state_of = _first_maximisers(store, parents)
 
     first: dict[Cluster, tuple[Cluster, Cluster, Cluster]] = {}
     skipped_large = 0
@@ -152,9 +155,9 @@ def stealth_candidates(
             "dropped %d stealth candidates above union order cap %d",
             skipped_large, max_order,
         )
-    index = _incidence(spec.support)
+    index = spec._support_index
     subs_of = {u: _canonical(s for s in _inside(index, u) if s != u) for u in first}
-    scores = _union_scores(packing, subs_of)
+    scores = _union_scores(store, subs_of)
     found = [
         StealthCandidate((c1, c2), t, u, subs_of[u], scores[u])
         for u, (c1, c2, t) in first.items()
@@ -167,38 +170,40 @@ def _check_max_order(max_order: int) -> None:
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
 
 
-def _first_maximisers(packing: _Packing) -> dict[Cluster, dict[int, int]]:
-    """The decoded (first flat-index) maximiser of every packed table, as a
-    state per variable: one argmax per row, as :func:`_decoded_projection`
-    takes per table."""
+def _first_maximisers(store: _Store, ts: list[Cluster]) -> dict[Cluster, dict[int, int]]:
+    """The decoded (first flat-index) maximiser of each of the stored
+    tables ``ts``, as a state per variable: one argmax per table, stacked
+    by shape, as :func:`_decoded_projection` takes per table."""
+    by_shape: dict[tuple[int, ...], list[Cluster]] = {}
+    for t in ts:
+        by_shape.setdefault(store.shape[t], []).append(t)
     state_of: dict[Cluster, dict[int, int]] = {}
-    for k, ts in enumerate(packing.members):
-        confs = packing.first_maximisers(k).T.tolist()
+    for shape, ts in by_shape.items():
+        first = np.unravel_index(store.buf[store.cells(ts)].argmax(axis=1), shape)
+        confs = np.array(first).T.tolist()
         state_of.update((t, dict(zip(t, conf))) for t, conf in zip(ts, confs))
     return state_of
 
 
 def _union_scores(
-    packing: _Packing, subs_of: dict[Cluster, tuple[Cluster, ...]]
+    store: _Store, subs_of: dict[Cluster, tuple[Cluster, ...]]
 ) -> dict[Cluster, float]:
     """:func:`pursuit_score` of each union with the given sub-clusters, in
     one batch per union order and sub layout (each sub's kept axes and
-    pack): per row, the same left-to-right additions of the same tables.
-    Every union has a sub-cluster: the one its pair shares."""
-    where = packing.where
+    table shape): per row, the same left-to-right additions of the same
+    tables.  Every union has a sub-cluster: the one its pair shares."""
     batches: dict[tuple, list[Cluster]] = {}
     for u, subs in subs_of.items():
         axis = {v: i for i, v in enumerate(u)}.__getitem__
-        layout = tuple((tuple(map(axis, s)), where[s][0]) for s in subs)
+        layout = tuple((tuple(map(axis, s)), store.shape[s]) for s in subs)
         batches.setdefault((len(u), layout), []).append(u)
     scores: dict[Cluster, float] = {}
     for (_, layout), unions in batches.items():
         n, u = len(unions), unions[0]
         separate = np.zeros(n)
         joint = None
-        for i, (_, k) in enumerate(layout):
-            rows = [where[subs_of[v][i]][1] for v in unions]
-            bs = packing.packs[k][rows]
+        for i, (_, shape) in enumerate(layout):
+            bs = store.buf[store.cells([subs_of[v][i] for v in unions])].reshape(n, *shape)
             separate += bs.reshape(n, -1).max(axis=1)
             piece = bs[(slice(None), *_embed_index(subs_of[u][i], u))]
             joint = piece.copy() if joint is None else joint + piece

@@ -17,9 +17,10 @@ clusters that share a variable, not with all pairs of clusters.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 from .factor_graph import Cluster, FactorGraph
@@ -41,9 +42,10 @@ class RelaxationSpec:
 
     ``extended_clusters`` fixes the sweep order of the solver; sub-cluster
     tuples are stored in canonical (size, lexicographic) order.  ``support``
-    is derived, never stored in a field: it and the proper sub-clusters of
-    each extended cluster are computed once per spec, outside the fields
-    that ``==`` compares.
+    is derived, never stored in a field: it, its incidence index and the
+    proper sub-clusters of each extended cluster are computed once per
+    spec, outside the fields that ``==`` compares, and a spec grown by
+    :meth:`with_clusters` extends those of its parent.
     """
 
     extended_clusters: tuple[Cluster, ...]
@@ -76,6 +78,15 @@ class RelaxationSpec:
             seen.update(ss)
         return _canonical(seen)
 
+    @cached_property
+    def _support_index(self) -> dict[int, list[Cluster]]:
+        """Smallest variable -> the support clusters it starts, the index
+        :func:`_inside` reads."""
+        index: dict[int, list[Cluster]] = {}
+        for t in self.support:
+            index.setdefault(t[0], []).append(t)
+        return index
+
     def with_clusters(self, additions: Mapping[Cluster, Iterable[Cluster]]) -> "RelaxationSpec":
         """New spec with extra extended clusters (existing ones gain subs).
         Only the added or changed clusters are checked again."""
@@ -92,7 +103,20 @@ class RelaxationSpec:
         object.__setattr__(spec, "extended_clusters", tuple(ext))
         object.__setattr__(spec, "sub_clusters", subs)
         object.__setattr__(spec, "_proper", proper)
+        if "_support_index" in self.__dict__:
+            # The parent's support order and index, with the clusters new to
+            # the support inserted.
+            support, index = list(self.support), dict(self._support_index)
+            for t in dict.fromkeys(chain.from_iterable((c, *subs[c]) for c in additions)):
+                if t not in index.get(t[0], ()):
+                    insort(support, t, key=_size_lex)
+                    index[t[0]] = [*index.get(t[0], ()), t]
+            spec.__dict__.update(support=tuple(support), _support_index=index)
         return spec
+
+
+def _size_lex(c: Cluster) -> tuple[int, Cluster]:
+    return len(c), c
 
 
 def _checked_subs(c: Cluster, ss: Iterable[Cluster]) -> tuple[Cluster, ...]:
@@ -132,7 +156,7 @@ def _inside(index: Mapping[int, list[Cluster]], c: Cluster) -> list[Cluster]:
     """The indexed members contained in ``c``, ``c`` itself included.  Each
     member is met once, under its smallest variable."""
     cs = set(c)
-    return [t for v in c for t in index[v] if t[0] == v and cs.issuperset(t)]
+    return [t for v in c for t in index.get(v, ()) if t[0] == v and cs.issuperset(t)]
 
 
 def _meets(index: Mapping[int, list[Cluster]], a: Cluster) -> set[Cluster]:

@@ -1,6 +1,8 @@
 """Solver updates, dual bookkeeping, decoding and storage accounting."""
 
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from maplp import (
     update_cluster_beliefs,
     update_cluster_messages,
 )
-from maplp.engine import _MessageContext
+from maplp.engine import _MessageContext, _update_messages
 
 from conftest import CHAIN_CLUSTERS, build_graph, random_clusters_graph
 
@@ -152,6 +154,34 @@ class TestMessageUpdates:
             np.testing.assert_allclose(
                 reconstructed[t], belief_state[t], atol=1e-9
             )
+
+    def test_alternating_graphs_and_specs_match_fresh_contexts(self):
+        """Calls alternate between two specs and two graphs of one
+        structure; each must match an update with a context of its own."""
+        g1, g2 = random_grid(3, 3, 2, seed=4), random_grid(3, 3, 2, seed=5)
+        calls = [(g1, dd_spec(g1)), (g1, gmplp_spec(g1)), (g2, dd_spec(g1))]
+        got = [init_messages(spec, g.cardinalities) for g, spec in calls]
+        want = [init_messages(spec, g.cardinalities) for g, spec in calls]
+        for _ in range(3):
+            for i in range(max(len(spec.extended_clusters) for _, spec in calls)):
+                for (g, spec), msgs, ref in zip(calls, got, want):
+                    c = spec.extended_clusters[i % len(spec.extended_clusters)]
+                    update_cluster_messages(msgs, g, spec, c)
+                    _update_messages(ref, _MessageContext(g, spec), c)
+        for msgs, ref in zip(got, want):
+            assert list(msgs) == list(ref)
+            for e, table in ref.items():
+                assert np.array_equal(msgs[e], table), e
+
+    def test_kept_context_holds_neither_graph_nor_spec(self):
+        g = random_grid(3, 3, 2, seed=4)
+        spec = dd_spec(g)
+        msgs = init_messages(spec, g.cardinalities)
+        update_cluster_messages(msgs, g, spec, spec.extended_clusters[-1])
+        refs = weakref.ref(g), weakref.ref(spec)
+        del g, spec
+        gc.collect()
+        assert refs[0]() is None and refs[1]() is None
 
     @pytest.mark.parametrize("builder", FIVE_SPECS)
     def test_mode_equivalence_on_seeded_grids(self, builder):

@@ -3,6 +3,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from maplp import (
     random_grid,
     save_model,
 )
+import maplp
 from maplp.cli import cli_main
 
 TINY_UAI = "MARKOV\n1\n2\n1\n1 0\n\n2\n 0.6 0.4\n"
@@ -330,3 +335,32 @@ class TestCli:
         exact = brute_force_map(load_model(model))
         assert result["gap"] <= 1e-6
         assert result["energy"] == pytest.approx(exact.value, abs=1e-9)
+
+
+class TestModuleEntryPoints:
+    """``python -m maplp`` and ``python -m maplp.cli`` run the CLI."""
+
+    @staticmethod
+    def run_module(cwd, *args):
+        src = str(Path(maplp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", *args], cwd=cwd, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["maplp", "maplp.cli"])
+    def test_missing_model_exits_2(self, tmp_path, module):
+        proc = self.run_module(tmp_path, module, "solve", "--model", "missing.json", "--alg", "mi")
+        assert proc.returncode == 2, proc.stderr
+        assert "missing.json" in proc.stderr
+
+    @pytest.mark.parametrize("module", ["maplp", "maplp.cli"])
+    def test_generate_then_solve_exits_0(self, tmp_path, module):
+        proc = self.run_module(tmp_path, module, "generate", "--grid", "3x3", "--states", "2",
+                               "--seed", "1", "--out", "grid.json")
+        assert proc.returncode == 0, proc.stderr
+        proc = self.run_module(tmp_path, module, "solve", "--model", "grid.json", "--alg", "mi",
+                               "--out", "result.json")
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads((tmp_path / "result.json").read_text())["assignment"]) == 9
