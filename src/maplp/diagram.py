@@ -23,6 +23,7 @@ incoming edges fall into a single equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 from .factor_graph import Cluster
 from .relaxations import RelaxationSpec
@@ -35,8 +36,28 @@ class DiagramError(ValueError):
 Edge = tuple[Cluster, Cluster]
 
 
+def _is_cluster(t: object) -> bool:
+    """A strictly increasing tuple of non-negative Python ints; bools and numpy
+    integers are not ints here, as every cluster the package builds holds
+    plain ints."""
+    return (
+        isinstance(t, tuple)
+        and set(map(type, t)) <= {int}
+        and all(map(lt, t, t[1:]))
+        and (not t or t[0] >= 0)
+    )
+
+
 @dataclass(frozen=True)
 class PolytopeDiagram:
+    """Nodes are clusters, edges ``(source, target)`` pairs of nodes.
+
+    Raises ``DiagramError`` for a node that is not a strictly increasing
+    tuple of non-negative ints, an edge naming a missing node or with a
+    target that is not a subset of its source, and an anchor that is not a
+    node.
+    """
+
     nodes: frozenset[Cluster]
     edges: frozenset[Edge]
     anchor_clusters: frozenset[Cluster] = frozenset()
@@ -45,6 +66,11 @@ class PolytopeDiagram:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         object.__setattr__(self, "edges", frozenset(self.edges))
         object.__setattr__(self, "anchor_clusters", frozenset(self.anchor_clusters))
+        for t in self.nodes:
+            if not _is_cluster(t):
+                raise DiagramError(
+                    f"node {t!r} is not a strictly increasing tuple of non-negative ints"
+                )
         for c, s in self.edges:
             if c not in self.nodes or s not in self.nodes:
                 raise DiagramError(f"edge {c}->{s} references a missing node")

@@ -91,6 +91,28 @@ class TestConversions:
                 frozenset({(0,), (1,)}), frozenset({((0,), (1,))}), frozenset()
             )
 
+    @pytest.mark.parametrize(
+        "nodes, bad",
+        [
+            ({(0, 0), (0,)}, r"\(0, 0\)"),
+            ({(0, 1), (1, 0), (0,)}, r"\(1, 0\)"),
+            ({(-1,)}, r"\(-1,\)"),
+            ({(True,)}, r"\(True,\)"),
+            ({(0.0,)}, r"\(0\.0,\)"),
+            ({(np.int64(0),)}, r"\(np\.int64\(0\),\)"),
+            ({frozenset({0})}, r"frozenset\(\{0\}\)"),
+        ],
+        ids=["repeated", "unsorted", "negative", "bool", "float", "numpy-int", "not-a-tuple"],
+    )
+    def test_node_that_is_not_a_cluster_rejected(self, nodes, bad):
+        with pytest.raises(DiagramError, match=f"node {bad} is not"):
+            PolytopeDiagram(frozenset(nodes), frozenset(), frozenset())
+
+    def test_repeated_variable_node_with_edge_rejected(self):
+        # used to construct and give the one binary variable a 4-cell table
+        with pytest.raises(DiagramError, match=r"node \(0, 0\)"):
+            PolytopeDiagram({(0, 0), (0,)}, {((0, 0), (0,))}, {(0, 0)})
+
 
 class TestEdgeEquivalence:
     def test_chain_edges_into_singleton_form_one_class(self):
