@@ -81,20 +81,13 @@ def _load_valid(path: Path) -> FactorGraph:
 
 
 def _run_one(graph, alg: str, args: argparse.Namespace):
-    spec = ALGORITHMS[alg](graph)
-    params = _params(args)
-    if args.pursuit == "stealth":
-        result = run_with_pursuit(graph, spec, params, args.mode, label=alg)
-        truncated = result.truncated
-    else:
-        result = run(graph, spec, params, args.mode, label=alg)
-        truncated = result.truncated
-    return result, truncated
+    solve = run_with_pursuit if args.pursuit == "stealth" else run
+    return solve(graph, ALGORITHMS[alg](graph), _params(args), args.mode, label=alg)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = _load_valid(args.model)
-    result, truncated = _run_one(graph, args.alg, args)
+    result = _run_one(graph, args.alg, args)
     if args.trace:
         emit_trace(result.trace, args.trace, _trace_fmt(args.trace))
     payload = {
@@ -103,13 +96,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "energy": energy(graph, result.assignment),
         "dual": result.dual,
         "gap": result.gap,
-        "truncated": truncated,
+        "truncated": result.truncated,
     }
     if args.out:
         Path(args.out).write_text(json.dumps(payload) + "\n")
     else:
         print(json.dumps(payload))
-    return 1 if truncated else 0
+    return 1 if result.truncated else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -134,8 +127,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     traces = []
     any_truncated = False
     for alg in algs:
-        result, truncated = _run_one(graph, alg, args)
-        any_truncated = any_truncated or truncated
+        result = _run_one(graph, alg, args)
+        any_truncated = any_truncated or result.truncated
         traces.append(result.trace)
         print(f"{alg}: dual={result.dual:.6f} primal={result.primal:.6f} "
               f"gap={result.gap:.2e}")

@@ -24,11 +24,12 @@ to zero.
 Both modes run through one driver: one sweep loop, one trace record per
 sweep, one set of stopping rules (inner tolerance, sweep cap,
 ``time_limit``).  The state's tables live in one flat float64 store, each
-at a fixed offset, and the returned tables are views into it; the dual, the
-decoder and pursuit's candidate search read it too.  A message-mode sweep
-is one step: every message update in insertion order, then the beliefs
-rebuilt into the store.  It reports no block drop, so
-``min_update_decrease`` reads 0.0 in message mode.
+at a fixed offset; the returned state is a plain dict of views into it
+(:data:`BeliefState`), and the dual, the decoder and pursuit's candidate
+search read the store too.  A message-mode sweep is one step: every
+message update in insertion order, then the beliefs rebuilt into the
+store.  It reports no block drop, so ``min_update_decrease`` reads 0.0 in
+message mode.
 
 In belief mode the sweep is compiled into one step per level.
 ``level(c) = 1 + max level of the earlier updating clusters that share a
@@ -144,24 +145,9 @@ class DualTrace:
         return len(self.records)
 
 
-class BeliefState:
-    """One table per support cluster, indexed like potential tables."""
-
-    def __init__(self, tables: dict[Cluster, np.ndarray]):
-        self.tables = tables
-
-    def __getitem__(self, t: Cluster) -> np.ndarray:
-        return self.tables[t]
-
-    def __setitem__(self, t: Cluster, v: np.ndarray) -> None:
-        self.tables[t] = v
-
-    def __contains__(self, t: Cluster) -> bool:
-        return t in self.tables
-
-    def copy(self) -> "BeliefState":
-        return BeliefState({t: v.copy() for t, v in self.tables.items()})
-
+#: Belief-mode state: one table per support cluster, indexed like potential
+#: tables.  After a run the tables are views into the solver's store.
+BeliefState = dict[Cluster, np.ndarray]
 
 #: Message-mode state: one table per (cluster, proper sub-cluster) edge, over
 #: the sub scope.
@@ -194,7 +180,7 @@ def init_beliefs(graph: FactorGraph, spec: RelaxationSpec) -> BeliefState:
         )
     for p in graph.potentials:
         tables[p.scope] = p.values.copy()
-    return BeliefState(tables)
+    return tables
 
 
 def init_messages(spec: RelaxationSpec, cardinalities: Sequence[int]) -> Messages:
@@ -324,7 +310,7 @@ class _Store:
 def dual_objective(beliefs: BeliefState) -> float:
     """Sum over the support of each table's maximum entry, added left to
     right in the state's table order."""
-    return _Store(beliefs.tables).dual()
+    return _Store(beliefs).dual()
 
 
 def dual_decrease(beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Cluster]) -> float:
@@ -482,7 +468,7 @@ def update_cluster_beliefs(
             raise InvalidModelError(f"table for {s} has shape {beliefs[s].shape}, expected {want}")
     store = _Store({t: beliefs[t] for t in (c, *subs)})
     drop = _Level(store, {(bc.shape, layout): [c]}, lambda _: subs, {})()
-    store.bind(beliefs.tables, (c, *subs))
+    store.bind(beliefs, (c, *subs))
     return drop
 
 
@@ -494,7 +480,7 @@ def decode(beliefs: BeliefState, graph: FactorGraph) -> tuple[int, ...]:
     lexicographically first among equal sizes.  Ties resolve to the lowest
     flat index, hence the lexicographically smallest configuration.
     """
-    return tuple(_Store(beliefs.tables).states(graph.num_vars))
+    return tuple(_Store(beliefs, graph.cardinalities).states(graph.num_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +488,11 @@ def decode(beliefs: BeliefState, graph: FactorGraph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
+class _TraceEnd:
+    """``dual``, ``primal`` and ``gap`` of a result's last trace record
+    (NaN before any sweep)."""
+
     trace: DualTrace
-    beliefs: BeliefState
-    assignment: tuple[int, ...]
-    messages: Messages | None = None
-    converged: bool = False
-    truncated: bool = False
-    min_update_decrease: float = 0.0
 
     @property
     def dual(self) -> float:
@@ -523,6 +505,17 @@ class RunResult:
     @property
     def gap(self) -> float:
         return abs(self.dual - self.primal)
+
+
+@dataclass
+class RunResult(_TraceEnd):
+    trace: DualTrace
+    beliefs: BeliefState
+    assignment: tuple[int, ...]
+    messages: Messages | None = None
+    converged: bool = False
+    truncated: bool = False
+    min_update_decrease: float = 0.0
 
 
 def _schedule(
@@ -592,8 +585,8 @@ class _Sweep:
             and old.sub_clusters.items() <= spec.sub_clusters.items()
         ):
             clusters = spec.extended_clusters[len(old.extended_clusters):]
-            new, moved = self.store.grow(state.tables)
-            self.store.bind(state.tables, list(self.store.where) if moved else new)
+            new, moved = self.store.grow(state)
+            self.store.bind(state, list(self.store.where) if moved else new)
         else:
             clusters = spec.extended_clusters
             self._compile(state)
@@ -606,8 +599,8 @@ class _Sweep:
 
     def _compile(self, state: BeliefState) -> None:
         """Start over: store the whole state and forget every level."""
-        self.store = _Store(state.tables, self.cardinalities)
-        self.store.bind(state.tables, list(self.store.where))
+        self.store = _Store(state, self.cardinalities)
+        self.store.bind(state, list(self.store.where))
         self.levels: dict[Cluster, int] = {}
         self.batches: dict[int, dict[tuple, list[Cluster]]] = {}
         self.steps: list[_Level] = []
@@ -640,14 +633,22 @@ def run(
 ) -> RunResult:
     """Sweep the extended clusters until the dual stalls or a cap is hit.
 
-    A passed ``beliefs`` warm-starts belief mode.  Returns the trace, final
-    state and decoded assignment; the returned tables (and those of a passed
-    ``beliefs``) are views into one flat array shared by all tables.
+    A passed ``beliefs`` warm-starts belief mode; message mode raises
+    ``ValueError`` for one.  Returns the trace, final state and decoded
+    assignment; the returned tables (and those of a passed ``beliefs``) are
+    views into one flat array shared by all tables.
 
     Raises :class:`InvalidModelError` when ``validate(graph)`` reports a
-    problem or a passed table has the wrong shape.
+    problem or a passed table has the wrong shape or a non-finite entry.
     """
     _check_model(graph)
+    if beliefs is not None:
+        if mode == "messages":
+            raise ValueError("message mode takes no beliefs warm start")
+        # One pass over all cells (none for an empty state); tables are searched only on failure.
+        if not np.isfinite(np.concatenate([np.zeros(0), *beliefs.values()], axis=None)).all():
+            bad = [t for t, v in beliefs.items() if not np.isfinite(v).all()]
+            raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
     return _run(graph, spec, params, mode, label=label, beliefs=beliefs)
 
 
@@ -655,6 +656,12 @@ def _check_model(graph: FactorGraph) -> None:
     problems = validate(graph)
     if problems:
         raise InvalidModelError("invalid model: " + "; ".join(problems))
+
+
+def _check_support(spec: RelaxationSpec, beliefs: BeliefState) -> None:
+    missing = [t for t in spec.support if t not in beliefs]
+    if missing:
+        raise CoverageError(f"support clusters {missing} have no belief table")
 
 
 def _run(
@@ -688,9 +695,7 @@ def _run(
 
     if mode == "beliefs":
         state = beliefs if beliefs is not None else init_beliefs(graph, spec)
-        missing = [t for t in spec.support if t not in state]
-        if missing:
-            raise CoverageError(f"support clusters {missing} have no belief table")
+        _check_support(spec, state)
         sweep = _Sweep(graph.cardinalities) if sweep is None else sweep
         sweep.prepare(spec, state)
         store, steps = sweep.store, sweep.steps
@@ -704,8 +709,8 @@ def _run(
                     f"original cluster {c} has no table under this relaxation"
                 )
         state = ctx.beliefs(messages)
-        store = _Store(state.tables, graph.cardinalities)
-        store.bind(state.tables, list(store.where))
+        store = _Store(state, graph.cardinalities)
+        store.bind(state, list(store.where))
         steps = [partial(_message_sweep, messages, ctx, store)]
 
     trace = DualTrace()
@@ -792,7 +797,7 @@ class _MessageContext:
         return self.theta[t] + self.incoming_sum(msgs, t) - self.outgoing_sum(msgs, t)
 
     def beliefs(self, msgs: Messages) -> BeliefState:
-        return BeliefState({t: self.belief(msgs, t) for t in self.support})
+        return {t: self.belief(msgs, t) for t in self.support}
 
 
 # The latest update_cluster_messages context, with its graph and spec.
@@ -841,7 +846,7 @@ def _message_sweep(msgs: Messages, ctx: _MessageContext, store: _Store) -> float
     block drop."""
     for c in ctx.order:
         _update_messages(msgs, ctx, c)
-    for t, v in ctx.beliefs(msgs).tables.items():
+    for t, v in ctx.beliefs(msgs).items():
         store.view(t)[...] = v
     return float("inf")
 

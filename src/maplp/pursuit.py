@@ -6,8 +6,8 @@ maximiser of one agrees with any maximiser of the other on the shared scope.
 The union of such a pair is a candidate cluster; adding it (with every
 support cluster inside it as a sub-cluster) restores agreement on the pair
 and can only lower the dual.  Candidates are scored by the dual decrease a
-single block update of the union would achieve, and the best few are added
-per round.
+single block update of the union would achieve from its zero table
+(:func:`maplp.engine.dual_decrease`), and the best few are added per round.
 
 What a round costs.  The candidate search is batched over the current
 beliefs (Sontag, Choe & Li, UAI 2012): the support tables are stacked by
@@ -37,10 +37,12 @@ from .engine import (
     Messages,
     SolverParams,
     _check_model,
+    _check_support,
     _embed_index,
     _run,
     _Store,
     _Sweep,
+    _TraceEnd,
     init_messages,
 )
 from .factor_graph import Cluster, FactorGraph, table_shape
@@ -49,7 +51,6 @@ from .relaxations import RelaxationSpec, _canonical, _inside
 logger = logging.getLogger(__name__)
 
 DEFAULT_UNION_ORDER_CAP = 8
-MAXIMISER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,37 +62,6 @@ class StealthCandidate:
     union: Cluster
     sub_clusters: tuple[Cluster, ...]
     score: float
-
-
-def _decoded_projection(table: np.ndarray, scope: Cluster, target: Cluster) -> tuple[int, ...]:
-    """Projection onto ``target`` of the decoded (first flat-index) maximiser."""
-    conf = np.unravel_index(int(np.argmax(table)), table.shape)
-    return tuple(int(conf[scope.index(v)]) for v in target)
-
-
-def maximiser_projections(table: np.ndarray, scope: Cluster, target: Cluster) -> set[tuple[int, ...]]:
-    """Projections onto ``target`` of every near-maximal configuration."""
-    flat = table.reshape(-1)
-    hits = np.flatnonzero(flat >= flat.max() - MAXIMISER_TOL)
-    confs = np.unravel_index(hits, table.shape)
-    positions = [scope.index(v) for v in target]
-    return {tuple(int(confs[p][i]) for p in positions) for i in range(len(hits))}
-
-
-def pursuit_score(beliefs: BeliefState, candidate: StealthCandidate) -> float:
-    """Dual decrease of one block update of the union, taken at its zero
-    initialisation: separate sub-table maxima minus their joint maximum."""
-    subs = [s for s in candidate.sub_clusters if s != candidate.union]
-    if not subs:
-        return 0.0
-    joint = None
-    separate = 0.0
-    for s in subs:
-        bs = beliefs[s]
-        separate += float(bs.max())
-        piece = bs[_embed_index(s, candidate.union)]
-        joint = piece.copy() if joint is None else joint + piece
-    return separate - float(joint.max())
 
 
 def stealth_candidates(
@@ -118,10 +88,13 @@ def stealth_candidates(
     The search is batched: the support tables are stacked by shape, one
     argmax per row decodes every parent, and the unions are scored in one
     numpy update per union order and sub-cluster layout, with the float
-    operations of :func:`pursuit_score`, so scores are bit-identical to it.
-    Raises ``ValueError`` unless ``max_order`` is an integer >= 1.
+    operations of :func:`~maplp.engine.dual_decrease` on a zero union table,
+    so scores are bit-identical to it.  Raises ``ValueError`` unless
+    ``max_order`` is an integer >= 1, and :class:`CoverageError` when a
+    support cluster has no table.
     """
     _check_max_order(max_order)
+    _check_support(spec, beliefs)
     # senders[s]: the extended clusters listing s as a proper sub-cluster,
     # so two clusters have a common parent when their senders meet.
     senders: dict[Cluster, list[Cluster]] = {}
@@ -131,8 +104,7 @@ def stealth_candidates(
             senders.setdefault(s, []).append(c)
         if spec.proper_subs_of(c):
             parents.append(c)
-    tables = beliefs.tables
-    store = _Store({t: tables[t] for t in spec.support if t in tables})
+    store = _Store({t: beliefs[t] for t in spec.support})
     state_of = _first_maximisers(store, parents)
 
     first: dict[Cluster, tuple[Cluster, Cluster, Cluster]] = {}
@@ -173,7 +145,7 @@ def _check_max_order(max_order: int) -> None:
 def _first_maximisers(store: _Store, ts: list[Cluster]) -> dict[Cluster, dict[int, int]]:
     """The decoded (first flat-index) maximiser of each of the stored
     tables ``ts``, as a state per variable: one argmax per table, stacked
-    by shape, as :func:`_decoded_projection` takes per table."""
+    by shape."""
     by_shape: dict[tuple[int, ...], list[Cluster]] = {}
     for t in ts:
         by_shape.setdefault(store.shape[t], []).append(t)
@@ -188,10 +160,12 @@ def _first_maximisers(store: _Store, ts: list[Cluster]) -> dict[Cluster, dict[in
 def _union_scores(
     store: _Store, subs_of: dict[Cluster, tuple[Cluster, ...]]
 ) -> dict[Cluster, float]:
-    """:func:`pursuit_score` of each union with the given sub-clusters, in
-    one batch per union order and sub layout (each sub's kept axes and
-    table shape): per row, the same left-to-right additions of the same
-    tables.  Every union has a sub-cluster: the one its pair shares."""
+    """:func:`~maplp.engine.dual_decrease` of each union with the given
+    sub-clusters at a zero union table, in one batch per union order and
+    sub layout (each sub's kept axes and table shape): per row, the same
+    left-to-right additions of the same tables, since adding to a zero
+    first changes no bit.  Every union has a sub-cluster: the one its pair
+    shares."""
     batches: dict[tuple, list[Cluster]] = {}
     for u, subs in subs_of.items():
         axis = {v: i for i, v in enumerate(u)}.__getitem__
@@ -212,7 +186,7 @@ def _union_scores(
 
 
 @dataclass
-class PursuitResult:
+class PursuitResult(_TraceEnd):
     assignment: tuple[int, ...]
     trace: DualTrace
     spec: RelaxationSpec
@@ -220,18 +194,6 @@ class PursuitResult:
     rounds: int = 0
     truncated: bool = False
     closed: bool = False
-
-    @property
-    def dual(self) -> float:
-        return self.trace.records[-1].dual if self.trace.records else float("nan")
-
-    @property
-    def primal(self) -> float:
-        return self.trace.records[-1].primal if self.trace.records else float("nan")
-
-    @property
-    def gap(self) -> float:
-        return abs(self.dual - self.primal)
 
 
 def run_with_pursuit(
@@ -295,12 +257,8 @@ def run_with_pursuit(
             sweeps_done = result.trace.records[-1].sweep
         beliefs = result.beliefs
         messages = result.messages
-        gap = result.gap
-        if gap <= params.outer_tol:
-            return PursuitResult(
-                result.assignment, trace, current, beliefs,
-                rounds=rounds, truncated=False, closed=True,
-            )
+        if result.gap <= params.outer_tol:
+            break
         if result.truncated or time.perf_counter() - t0 > params.time_limit:
             truncated = True
             break
@@ -325,20 +283,17 @@ def run_with_pursuit(
             rounds += 1
             continue
         chosen = candidates[: params.clusters_per_round]
-        additions = {c.union: c.sub_clusters for c in chosen}
-        current = current.with_clusters(additions)
+        current = current.with_clusters({c.union: c.sub_clusters for c in chosen})
         rounds += 1
         for cand in chosen:
             if cand.union not in beliefs:
-                beliefs[cand.union] = np.zeros(
-                    table_shape(cand.union, graph.cardinalities)
-                )
+                beliefs[cand.union] = np.zeros(table_shape(cand.union, graph.cardinalities))
         if messages is not None:
             fresh = init_messages(current, graph.cardinalities)
             fresh.update(messages)
             messages = fresh
 
     return PursuitResult(
-        result.assignment, trace, current, beliefs,
-        rounds=rounds, truncated=truncated, closed=False,
+        result.assignment, trace, current, beliefs, rounds=rounds,
+        truncated=truncated, closed=result.gap <= params.outer_tol,
     )

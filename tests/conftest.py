@@ -1,4 +1,5 @@
-"""Shared fixtures: the two reference graphs used throughout the suite.
+"""Shared fixtures: the two reference graphs used throughout the suite,
+and the per-table maximiser projections that pursuit tests compare against.
 
 Both graphs appear repeatedly in the tests because their reduction behaviour
 is known in closed form:
@@ -18,6 +19,7 @@ from maplp import FactorGraph, XorShift64Star
 
 CHAIN_CLUSTERS = ((0, 1, 2), (1, 2, 3), (2, 3, 4), (2,))
 GRID_CLIQUES = ((0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8))
+MAXIMISER_TOL = 1e-9
 
 
 def build_graph(cardinalities, clusters, seed=None, scale=1.0):
@@ -33,6 +35,21 @@ def build_graph(cardinalities, clusters, seed=None, scale=1.0):
         else:
             tables.append(rng.normals(size) * scale)
     return FactorGraph(cardinalities, clusters, tables)
+
+
+def decoded_projection(table, scope, target):
+    """Projection onto ``target`` of the decoded (first flat-index) maximiser."""
+    conf = np.unravel_index(int(np.argmax(table)), table.shape)
+    return tuple(int(conf[scope.index(v)]) for v in target)
+
+
+def maximiser_projections(table, scope, target):
+    """Projections onto ``target`` of every near-maximal configuration."""
+    flat = table.reshape(-1)
+    hits = np.flatnonzero(flat >= flat.max() - MAXIMISER_TOL)
+    confs = np.unravel_index(hits, table.shape)
+    positions = [scope.index(v) for v in target]
+    return {tuple(int(confs[p][i]) for p in positions) for i in range(len(hits))}
 
 
 @pytest.fixture

@@ -91,14 +91,14 @@ def reference_run(graph, spec, tables, max_sweeps, inner_tol=SolverParams.inner_
 def assert_same_run(graph, spec, max_sweeps, beliefs=None):
     """Run both sweeps from equal states; returns the compiled run."""
     state = beliefs if beliefs is not None else init_beliefs(graph, spec)
-    ref_tables = {t: v.copy() for t, v in state.tables.items()}
+    ref_tables = {t: v.copy() for t, v in state.items()}
     duals, primals, min_drop, assignment = reference_run(graph, spec, ref_tables, max_sweeps)
     result = run(graph, spec, SolverParams(max_sweeps=max_sweeps), beliefs=state)
     assert result.trace.duals == duals
     assert result.trace.primals == primals
     assert result.min_update_decrease == min_drop
     assert result.assignment == assignment
-    assert list(result.beliefs.tables) == list(ref_tables)
+    assert list(result.beliefs) == list(ref_tables)
     for t, table in ref_tables.items():
         assert np.array_equal(result.beliefs[t], table), t
     return result
@@ -141,7 +141,7 @@ def test_single_update_matches_reference_exactly():
     c = g.clusters[-1]
     subs = spec.proper_subs_of(c)
     state = init_beliefs(g, spec)
-    ref_tables = {t: v.copy() for t, v in state.tables.items()}
+    ref_tables = {t: v.copy() for t, v in state.items()}
     expected = reference_update(ref_tables, c, subs)
     assert update_cluster_beliefs(state, c, spec.subs_of(c)) == expected
     for t, table in ref_tables.items():
@@ -154,6 +154,6 @@ def test_returned_tables_share_storage():
     beliefs = init_beliefs(g, spec)
     result = run(g, spec, SolverParams(max_sweeps=2), beliefs=beliefs)
     assert result.beliefs is beliefs
-    pairs = [t for t in beliefs.tables if len(t) == 2]
+    pairs = [t for t in beliefs if len(t) == 2]
     base = beliefs[pairs[0]].base
     assert base is not None and all(beliefs[t].base is base for t in pairs)

@@ -37,7 +37,7 @@ from maplp import (
 )
 from maplp.engine import _MessageContext, _update_messages
 
-from conftest import CHAIN_CLUSTERS, build_graph, random_clusters_graph
+from conftest import CHAIN_CLUSTERS, build_graph, maximiser_projections, random_clusters_graph
 
 FIVE_SPECS = [gmplp_spec, dd_spec, powerset_spec, pi_system_spec,
               max_intersection_spec]
@@ -150,7 +150,7 @@ class TestMessageUpdates:
         msgs = init_messages(spec, g.cardinalities)
         update_cluster_messages(msgs, g, spec, (0, 1))
         reconstructed = ctx.beliefs(msgs)
-        for t in belief_state.tables:
+        for t in belief_state:
             np.testing.assert_allclose(
                 reconstructed[t], belief_state[t], atol=1e-9
             )
@@ -235,6 +235,13 @@ class TestDecode:
         with pytest.raises(CoverageError):
             decode(beliefs, g)
 
+    def test_mis_shaped_table_rejected(self):
+        # a 5-cell table on a binary variable would decode to state 4
+        g = FactorGraph([2], [(0,)], [np.zeros(2)])
+        beliefs = BeliefState({(0,): np.arange(5.0)})
+        with pytest.raises(InvalidModelError, match=r"\(0,\) has shape \(5,\)"):
+            decode(beliefs, g)
+
     def test_gap_below_tolerance_means_exact(self):
         hits = 0
         for seed in range(30):
@@ -317,9 +324,25 @@ class TestInputErrors:
         g = build_graph([2] * 5, CHAIN_CLUSTERS, seed=1)
         spec = dd_spec(g)
         beliefs = init_beliefs(g, spec)
-        del beliefs.tables[(4,)]
+        del beliefs[(4,)]
         with pytest.raises(CoverageError):
             run(g, spec, beliefs=beliefs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_belief_table_rejected(self, bad):
+        g = build_graph([2] * 5, CHAIN_CLUSTERS, seed=1)
+        spec = dd_spec(g)
+        beliefs = init_beliefs(g, spec)
+        beliefs[(3,)][1] = bad
+        with pytest.raises(InvalidModelError, match=r"clusters \[\(3,\)\]: non-finite"):
+            run(g, spec, beliefs=beliefs)
+
+    def test_warm_start_rejected_in_message_mode(self):
+        # message mode starts from zero messages and would ignore the tables
+        g = random_grid(3, 3, 2, seed=0)
+        spec = dd_spec(g)
+        with pytest.raises(ValueError, match="message mode"):
+            run(g, spec, mode="messages", beliefs=init_beliefs(g, spec))
 
 
 class TestSolverParams:
@@ -347,7 +370,7 @@ class TestSolverParams:
 def test_public_api_surface():
     for name in maplp.__all__:
         assert getattr(maplp, name) is not None, name
-    for gone in ("MessageState", "merge_traces", "EdgeEquivalenceClasses"):
+    for gone in ("MessageState", "merge_traces", "EdgeEquivalenceClasses", "pursuit_score"):
         assert gone not in maplp.__all__ and not hasattr(maplp, gone)
     assert not hasattr(maplp.engine, "MessageState")
     assert not hasattr(maplp.io, "merge_traces")
@@ -359,8 +382,6 @@ def test_public_api_surface():
 
 class TestFixedPointConsistency:
     def test_maximiser_sets_intersect_at_fixed_points(self):
-        from maplp.pursuit import maximiser_projections
-
         g = build_graph([2] * 5, CHAIN_CLUSTERS, seed=4)
         spec = gmplp_spec(g)
         r = run(g, spec, SolverParams(max_sweeps=500, inner_tol=1e-12))
@@ -380,7 +401,7 @@ class TestFixedPointConsistency:
             x = r.assignment
             if all(
                 table[tuple(x[v] for v in t)] >= table.max() - 1e-9
-                for t, table in r.beliefs.tables.items()
+                for t, table in r.beliefs.items()
             ):
                 certified += 1
                 assert energy(g, x) == pytest.approx(r.dual, abs=1e-8)

@@ -11,6 +11,7 @@ stealth candidates field by field with their scores.
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import maplp.pursuit as pursuit
@@ -22,15 +23,15 @@ from maplp import (
     gmplp_spec,
     intersection_closure,
     max_intersection_spec,
+    dual_decrease,
     pi_system_spec,
-    pursuit_score,
     random_grid,
     run_with_pursuit,
     stealth_candidates,
 )
-from maplp.pursuit import StealthCandidate, _decoded_projection
+from maplp.pursuit import StealthCandidate
 
-from conftest import frustrated_cycle, random_clusters_graph
+from conftest import decoded_projection, frustrated_cycle, random_clusters_graph
 
 
 def canonical(clusters):
@@ -134,14 +135,15 @@ def reference_stealth_candidates(spec, beliefs, *, max_order=pursuit.DEFAULT_UNI
         for c1, c2 in combinations(sorted(cs), 2):
             if frozenset((c1, c2)) in common_parent:
                 continue
-            if _decoded_projection(beliefs[c1], c1, t) == _decoded_projection(beliefs[c2], c2, t):
+            if decoded_projection(beliefs[c1], c1, t) == decoded_projection(beliefs[c2], c2, t):
                 continue
             union = tuple(sorted(set(c1) | set(c2)))
             if len(union) > max_order:
                 continue
             subs = tuple(s for s in support if s != union and set(s) < set(union))
-            cand = StealthCandidate((c1, c2), t, union, subs, 0.0)
-            score = pursuit_score(beliefs, cand)
+            card = dict(zip(c1 + c2, beliefs[c1].shape + beliefs[c2].shape))
+            zeros = np.zeros([card[v] for v in union])
+            score = dual_decrease({**beliefs, union: zeros}, union, subs)
             if union not in best or score > best[union].score:
                 best[union] = StealthCandidate((c1, c2), t, union, subs, score)
     return sorted(best.values(), key=lambda c: (-c.score, c.union))

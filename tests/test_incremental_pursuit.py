@@ -33,6 +33,12 @@ from conftest import frustrated_cycle
 CYCLE_PARAMS = SolverParams(max_sweeps=500, pursuit_sweeps=50)
 
 
+def copied(beliefs):
+    """A snapshot of a belief state: its tables are views into a store that
+    later rounds keep writing."""
+    return {t: v.copy() for t, v in beliefs.items()}
+
+
 def reference_pursuit(graph, spec, params, search):
     """Per round: spec, duals, primals, assignment and final tables; plus
     the number of rounds in which an existing extended cluster gained
@@ -41,10 +47,10 @@ def reference_pursuit(graph, spec, params, search):
     while True:
         budget = params.pursuit_sweeps if rounds else params.max_sweeps
         result = run(graph, spec, replace(params, max_sweeps=budget),
-                     beliefs=None if beliefs is None else beliefs.copy())
+                     beliefs=None if beliefs is None else copied(beliefs))
         beliefs = result.beliefs
         rounds.append((spec, result.trace.duals, result.trace.primals,
-                       result.assignment, beliefs.copy().tables))
+                       result.assignment, copied(beliefs)))
         if result.gap <= params.outer_tol:
             return rounds, gained
         present = set(spec.extended_clusters)
@@ -70,7 +76,7 @@ def checked_pursuit(monkeypatch, graph, params, search=stealth_candidates):
     compile_ = engine._Sweep._compile
 
     def recording(spec, beliefs, **kwargs):
-        seen.append((spec, beliefs.copy().tables))
+        seen.append((spec, copied(beliefs)))
         return search(spec, beliefs, **kwargs)
 
     def counting(self, state):
@@ -101,7 +107,7 @@ def checked_pursuit(monkeypatch, graph, params, search=stealth_candidates):
     # Every table is still a view into the one pack of its shape, also after
     # packs were reallocated to grow.
     bases = {}
-    for table in result.beliefs.tables.values():
+    for table in result.beliefs.values():
         assert bases.setdefault(table.shape, table.base) is table.base
     return len(compiles), gained, result.closed
 

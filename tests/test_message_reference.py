@@ -32,13 +32,13 @@ def reference_message_run(graph, spec, msgs, max_sweeps, inner_tol=SolverParams.
     """Returns duals, primals, the assignment and the final belief tables;
     updates ``msgs`` in place."""
     ctx = _MessageContext(graph, spec)
-    tables = ctx.beliefs(msgs).tables
+    tables = ctx.beliefs(msgs)
     duals, primals = [], []
     g_prev = reference_dual(tables)
     for _ in range(max_sweeps):
         for c in spec.extended_clusters:
             update_cluster_messages(msgs, graph, spec, c)
-        tables = ctx.beliefs(msgs).tables
+        tables = ctx.beliefs(msgs)
         duals.append(reference_dual(tables))
         primals.append(energy(graph, reference_decode(tables, graph.num_vars)))
         if abs(duals[-1] - g_prev) < inner_tol:
@@ -63,7 +63,7 @@ def assert_same_message_run(graph, spec, max_sweeps, messages=None):
     assert result.trace.primals == primals
     assert result.assignment == assignment
     assert result.min_update_decrease == 0.0
-    assert list(result.beliefs.tables) == list(tables)
+    assert list(result.beliefs) == list(tables)
     for t, table in tables.items():
         assert np.array_equal(result.beliefs[t], table), t
     assert list(result.messages) == list(ref_msgs)

@@ -6,6 +6,7 @@ import pytest
 import maplp.engine
 from maplp import (
     BeliefState,
+    CoverageError,
     FactorGraph,
     InvalidModelError,
     RelaxationSpec,
@@ -14,15 +15,13 @@ from maplp import (
     dd_spec,
     energy,
     init_beliefs,
+    dual_decrease,
     max_intersection_spec,
-    pursuit_score,
     run,
     run_with_pursuit,
     stealth_candidates,
 )
-from maplp.pursuit import StealthCandidate
-
-from conftest import GRID_CLIQUES, build_graph, frustrated_cycle
+from conftest import GRID_CLIQUES, build_graph, frustrated_cycle, maximiser_projections
 
 
 def grid_mi_beliefs(clique_grid, disagree=True):
@@ -103,31 +102,38 @@ class TestCandidates:
         assert "order cap" in caplog.text
 
 
+    def test_missing_support_table_named(self, clique_grid):
+        spec, beliefs = grid_mi_beliefs(clique_grid)
+        del beliefs[GRID_CLIQUES[0]]
+        with pytest.raises(CoverageError, match=r"\[\(0, 1, 3, 4\)\] have no belief table"):
+            stealth_candidates(spec, beliefs)
+
+
 class TestScore:
+    """A candidate's score is the drop of one block update of its union
+    from a zero union table."""
+
     def test_all_zero_beliefs_score_zero(self):
         beliefs = BeliefState({
-            (0,): np.zeros(2), (1,): np.zeros(2),
+            (0,): np.zeros(2), (1,): np.zeros(2), (0, 1): np.zeros((2, 2)),
         })
-        cand = StealthCandidate(((0,), (1,)), (0,), (0, 1), ((0,), (1,)), 0.0)
-        assert pursuit_score(beliefs, cand) == 0.0
+        assert dual_decrease(beliefs, (0, 1), ((0,), (1,))) == 0.0
 
     def test_hand_worked_score_is_zero_when_consistent(self):
         beliefs = BeliefState({
-            (0,): np.array([1.0, 0.0]), (1,): np.array([0.0, 1.0]),
+            (0,): np.array([1.0, 0.0]), (1,): np.array([0.0, 1.0]), (0, 1): np.zeros((2, 2)),
         })
-        cand = StealthCandidate(((0,), (1,)), (0,), (0, 1), ((0,), (1,)), 0.0)
-        assert pursuit_score(beliefs, cand) == pytest.approx(0.0, abs=1e-12)
+        assert dual_decrease(beliefs, (0, 1), ((0,), (1,))) == pytest.approx(0.0, abs=1e-12)
 
     def test_score_positive_when_no_joint_maximiser(self):
         # sub-beliefs over the two pairs of a triple pull variable 1 both ways
         beliefs = BeliefState({
             (0, 1): np.array([[1.0, 0.0], [0.0, 0.0]]),
             (1, 2): np.array([[0.0, 0.0], [1.0, 0.0]]),
+            (0, 1, 2): np.zeros((2, 2, 2)),
         })
-        cand = StealthCandidate(
-            ((0, 1), (1, 2)), (1,), (0, 1, 2), ((0, 1), (1, 2)), 0.0
-        )
-        assert pursuit_score(beliefs, cand) == pytest.approx(1.0, abs=1e-12)
+        drop = dual_decrease(beliefs, (0, 1, 2), ((0, 1), (1, 2)))
+        assert drop == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPursuitLoop:
@@ -168,8 +174,6 @@ class TestPursuitLoop:
             assert all(b <= a + 1e-9 for a, b in zip(duals, duals[1:]))
 
     def test_added_clusters_restore_overlap_agreement(self):
-        from maplp.pursuit import maximiser_projections
-
         g = frustrated_cycle(0)
         result = run_with_pursuit(
             g, dd_spec(g), SolverParams(max_sweeps=500, pursuit_sweeps=50)
