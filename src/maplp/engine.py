@@ -29,7 +29,8 @@ at a fixed offset; the returned state is a plain dict of views into it
 search read the store too.  A message-mode sweep is one step: every
 message update in insertion order, then the beliefs rebuilt into the
 store.  It reports no block drop, so ``min_update_decrease`` reads 0.0 in
-message mode.
+message mode.  Each table's shape and each edge's embed index and max axes
+are computed once per run, in the message context.
 
 In belief mode the sweep is compiled into one step per level.
 ``level(c) = 1 + max level of the earlier updating clusters that share a
@@ -38,11 +39,13 @@ so running the levels in order gives exactly the insertion-order iterates
 (any schedule that respects these dependencies does; Globerson & Jaakkola,
 NIPS 2007; Kolmogorov, PAMI 2006).  A :class:`_Level` step runs every
 update of its level in numpy calls that grow with its largest sub count and
-its (shape, sub layout) batches, not its members; the per-cell index maps
-are rebuilt per call from shared templates, since kept they would outweigh
-the tables.  On a 16x16 grid with 3 states that is 47 /
-47 / 121 / 61 / 43 steps per sweep for ``gmplp`` / ``dd`` / ``ps`` /
-``pi-s`` / ``mi``.
+its (shape, sub layout) batches, not its members.  Its per-cell index maps
+come from shared templates; the compiled sweep keeps them for its first
+parts, within 64 KiB (``_KEPT_CELLS``), and the rest are rebuilt per call,
+since all of a large grid's maps would outweigh its tables.  A 12-variable
+instance keeps every map.  On a 16x16 grid with 3 states that is 47 / 47 /
+121 / 61 / 43 steps per sweep for ``gmplp`` / ``dd`` / ``ps`` / ``pi-s`` /
+``mi``.
 
 Each cluster keeps its float operations in the one-cluster order: ``joint
 = b_c + b_s1 + ...``, each new sub-table ``max * (1/|S|)``, then the
@@ -217,8 +220,11 @@ class _Store:
         tables and whether the array was reallocated."""
         new = [t for t in tables if t not in self.where]
         start, cards, shapes = self.used, self.cardinalities, {}
-        for t in new:
-            if cards is not None and tables[t].shape != table_shape(t, cards):
+        for t in new if cards is not None else ():
+            if not all(0 <= v < len(cards) for v in t):
+                raise InvalidModelError(f"table for cluster {t}: variables outside "
+                                        f"the graph's {len(cards)}")
+            if tables[t].shape != table_shape(t, cards):
                 raise InvalidModelError(f"table for cluster {t} has shape "
                                         f"{tables[t].shape}, expected {table_shape(t, cards)}")
         for t in new:
@@ -413,10 +419,26 @@ class _Level:
         self.delta = np.concatenate(deltas, axis=1)
         self.cells = np.array(cells, dtype=np.intp)
         self.starts = np.cumsum(self.cells) - self.cells
+        # Cells of the maps a call builds (``G``, the ``Q``s and ``R``), and
+        # the maps themselves if the compiled sweep keeps them.
+        self.map_cells = (2 * K + 1) * first + sum(d * n for d, n in counts.items())
+        self.kept: tuple | None = None
+
+    def maps(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """The index maps of a call: ``G`` gathers ``X`` from the store, each
+        depth's ``Q`` the joint cells under each new cell, and ``R`` each
+        role's new sub-table cell back into ``X``."""
+        K = self.K
+        G = _joined([(g[:, None, :] + o[:, :, None]).reshape(K + 1, -1) for g, o in self.gather])
+        Qs = [_joined([(q[:, None, :] + b[:, None]).reshape(d, -1) for q, b in parts])
+              for d, parts in self.depths]
+        R = np.repeat(self.delta, self.cells, axis=1)
+        R += G[1:]
+        return G, Qs, R
 
     def __call__(self) -> float:
         buf, K = self.store.buf, self.K
-        G = _joined([(g[:, None, :] + o[:, :, None]).reshape(K + 1, -1) for g, o in self.gather])
+        G, Qs, R = self.kept or self.maps()
         X = buf[G]
         before = np.maximum.reduceat(X, self.starts, axis=1)
         joint = X[0]
@@ -426,13 +448,10 @@ class _Level:
         new = np.empty(self.size)
         new[0] = 0.0
         start = 1
-        for d, parts in self.depths:
-            Q = _joined([(q[:, None, :] + b[:, None]).reshape(d, -1) for q, b in parts])
+        for Q in Qs:
             np.maximum.reduce(joint[Q], axis=0, out=new[start:start + Q.shape[1]])
             start += Q.shape[1]
         new[1:] *= np.repeat(self.inv, self.new_cells)
-        R = np.repeat(self.delta, self.cells, axis=1)
-        R += G[1:]
         # In range by construction; "clip" writes to X without a buffer.
         np.take(new, R, out=X[1:], mode="clip")
         for r in range(1, K + 1):
@@ -549,6 +568,12 @@ def _schedule(
 # stay within 64 KiB each; no level of the 16x16x3 grid needs two parts.
 _PART_CELLS = 8192
 
+# Index-map cells a compiled sweep keeps across calls (64 KiB of intp), first
+# come, first served; a part past the budget rebuilds its maps per call.  A
+# 12-variable instance keeps every part's maps, a 16x16x3 grid those of its
+# first levels: all of them (2.2-4.7 MiB) would outweigh its tables.
+_KEPT_CELLS = 8192
+
 
 def _parts(batches: Mapping[tuple, list[Cluster]]) -> list[dict[tuple, list[Cluster]]]:
     """A level's batches split into parts within ``_PART_CELLS``, batches
@@ -566,11 +591,14 @@ def _parts(batches: Mapping[tuple, list[Cluster]]) -> list[dict[tuple, list[Clus
 
 
 class _Sweep:
-    """The compiled belief-mode sweep of a spec over a stored state, one
-    step per level.  :meth:`prepare` compiles it or, when the spec only
-    appends clusters to the last one over the same state, stores the new
-    tables and rebuilds the steps of the levels they join, which leaves a
-    full compile's steps.  Anything else compiles from scratch."""
+    """The compiled belief-mode sweep of a spec over a stored state:
+    :attr:`steps` holds, per level, the :class:`_Level` parts that run it.
+    :meth:`prepare` compiles it or, when the spec only appends clusters to
+    the last one over the same state, stores the new tables and rebuilds
+    the steps of the levels they join, which leaves a full compile's steps.
+    Anything else compiles from scratch.  Parts keep their index maps while
+    :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt level gives
+    its kept cells back."""
 
     def __init__(self, cardinalities: Sequence[int]):
         self.cardinalities = cardinalities
@@ -591,10 +619,15 @@ class _Sweep:
             clusters = spec.extended_clusters
             self._compile(state)
         for level in sorted(_schedule(spec, clusters, self.cardinalities, self.levels, self.batches)):
+            if level <= len(self.steps):
+                self.kept_cells -= sum(p.map_cells for p in self.steps[level - 1] if p.kept)
             parts = [_Level(self.store, part, spec.proper_subs_of, self._templates)
                      for part in _parts(self.batches[level])]
-            self.steps[level - 1:level] = [
-                parts[0] if len(parts) == 1 else lambda parts=parts: min(p() for p in parts)]
+            for p in parts:
+                if self.kept_cells + p.map_cells <= _KEPT_CELLS:
+                    p.kept = p.maps()
+                    self.kept_cells += p.map_cells
+            self.steps[level - 1:level] = [parts]
         self.spec, self.state = spec, state
 
     def _compile(self, state: BeliefState) -> None:
@@ -603,7 +636,8 @@ class _Sweep:
         self.store.bind(state, list(self.store.where))
         self.levels: dict[Cluster, int] = {}
         self.batches: dict[int, dict[tuple, list[Cluster]]] = {}
-        self.steps: list[_Level] = []
+        self.steps: list[list[_Level]] = []
+        self.kept_cells = 0
         # Index templates by (table shape, sub layout, roles).
         self._templates: dict[tuple, tuple] = {}
 
@@ -698,7 +732,7 @@ def _run(
         _check_support(spec, state)
         sweep = _Sweep(graph.cardinalities) if sweep is None else sweep
         sweep.prepare(spec, state)
-        store, steps = sweep.store, sweep.steps
+        store, steps = sweep.store, list(chain.from_iterable(sweep.steps))
     else:
         ctx = _MessageContext(graph, spec)
         if messages is None:
@@ -761,36 +795,39 @@ def _run(
 
 class _MessageContext:
     """Static structure shared by all message-mode updates: the sweep order,
-    who sends to whom, and the potential table of each support cluster
-    (zero if absent).  It holds neither the graph nor the spec."""
+    who sends to whom, each support table's shape and potential table (zero
+    if absent), and each edge's embed index and max axes.  It holds neither
+    the graph nor the spec."""
 
     def __init__(self, graph: FactorGraph, spec: RelaxationSpec):
         self.order = spec.extended_clusters
-        self.cards = graph.cardinalities
         self.support = spec.support
+        self.shape = {t: table_shape(t, graph.cardinalities) for t in self.support}
         self.theta: dict[Cluster, np.ndarray] = {}
         for t in self.support:
             p = graph._by_scope.get(t)
-            self.theta[t] = p.values if p is not None else np.zeros(table_shape(t, self.cards))
+            self.theta[t] = p.values if p is not None else np.zeros(self.shape[t])
         self.senders: dict[Cluster, list[Cluster]] = {t: [] for t in self.support}
         for c in spec.extended_clusters:
             for s in spec.proper_subs_of(c):
                 self.senders[s].append(c)
-        self.outgoing: dict[Cluster, list[Cluster]] = {
-            c: list(spec.proper_subs_of(c)) for c in spec.extended_clusters
+        # Per cluster, each proper sub with its embed index and max axes.
+        self.outgoing: dict[Cluster, list[tuple[Cluster, tuple, tuple[int, ...]]]] = {
+            c: [(s, _embed_index(s, c), _max_axes(s, c)) for s in spec.proper_subs_of(c)]
+            for c in spec.extended_clusters
         }
 
     def incoming_sum(self, msgs: Messages, t: Cluster) -> np.ndarray:
-        total = np.zeros(table_shape(t, self.cards))
+        total = np.zeros(self.shape[t])
         for c in self.senders[t]:
             total += msgs[(c, t)]
         return total
 
     def outgoing_sum(self, msgs: Messages, t: Cluster) -> np.ndarray:
         """Outgoing messages of ``t`` embedded and summed over ``t``'s scope."""
-        total = np.zeros(table_shape(t, self.cards))
-        for s in self.outgoing.get(t, ()):
-            total += msgs[(t, s)][_embed_index(s, t)]
+        total = np.zeros(self.shape[t])
+        for s, embed, _ in self.outgoing.get(t, ()):
+            total += msgs[(t, s)][embed]
         return total
 
     def belief(self, msgs: Messages, t: Cluster) -> np.ndarray:
@@ -824,20 +861,19 @@ def _update_messages(msgs: Messages, ctx: _MessageContext, c: Cluster) -> None:
     if not subs:
         return
     bracket = ctx.theta[c] + ctx.incoming_sum(msgs, c)
-    pieces = {}
-    for s in subs:
+    pieces = []
+    for s, embed, _ in subs:
         piece = (
             ctx.theta[s]
             - ctx.outgoing_sum(msgs, s)
             + ctx.incoming_sum(msgs, s)
             - msgs[(c, s)]
         )
-        pieces[s] = piece
-        bracket = bracket + piece[_embed_index(s, c)]
+        pieces.append(piece)
+        bracket = bracket + piece[embed]
     inv = 1.0 / len(subs)
-    for s in subs:
-        new = bracket.max(axis=_max_axes(s, c)) * inv - pieces[s]
-        msgs[(c, s)] = new
+    for (s, _, axes), piece in zip(subs, pieces):
+        msgs[(c, s)] = bracket.max(axis=axes) * inv - piece
 
 
 def _message_sweep(msgs: Messages, ctx: _MessageContext, store: _Store) -> float:

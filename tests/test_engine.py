@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import re
 import weakref
 
 import numpy as np
@@ -242,6 +243,13 @@ class TestDecode:
         with pytest.raises(InvalidModelError, match=r"\(0,\) has shape \(5,\)"):
             decode(beliefs, g)
 
+    @pytest.mark.parametrize("extra", [(5,), (1, 2), (-1,)])
+    def test_table_outside_graph_rejected(self, extra):
+        g = FactorGraph([2, 2], [(0, 1)], [np.zeros((2, 2))])
+        beliefs = BeliefState({(0, 1): np.zeros((2, 2)), extra: np.zeros((2,) * len(extra))})
+        with pytest.raises(InvalidModelError, match=rf"{re.escape(str(extra))}: variables outside"):
+            decode(beliefs, g)
+
     def test_gap_below_tolerance_means_exact(self):
         hits = 0
         for seed in range(30):
@@ -313,6 +321,15 @@ class TestInputErrors:
         beliefs = init_beliefs(g, spec)
         beliefs[(3,)] = np.zeros(3)
         with pytest.raises(InvalidModelError, match=r"\(3,\)"):
+            run(g, spec, beliefs=beliefs)
+
+    @pytest.mark.parametrize("extra", [(5,), (1, 2), (-1,)])
+    def test_belief_table_outside_graph_rejected(self, extra):
+        g = FactorGraph([2, 2], [(0, 1)], [np.zeros((2, 2))])
+        spec = dd_spec(g)
+        beliefs = init_beliefs(g, spec)
+        beliefs[extra] = np.zeros((2,) * len(extra))
+        with pytest.raises(InvalidModelError, match=rf"{re.escape(str(extra))}: variables outside"):
             run(g, spec, beliefs=beliefs)
 
     def test_variable_in_no_table_rejected(self):

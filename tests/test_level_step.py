@@ -3,7 +3,8 @@ reference, on the cases that stress a level step: unions with nested
 sub-clusters, mixed and unit cardinalities, tables that update at one level
 and are a sub-cluster at a later one, and random graphs.  Every comparison
 is exact ``==`` through ``assert_same_run``.  Also pinned: one step per
-level, and what a compiled sweep keeps in memory.
+level, index maps kept within their budget giving the same iterates as maps
+rebuilt per call, and what a compiled sweep keeps in memory.
 """
 
 import gc
@@ -14,6 +15,7 @@ import pytest
 
 from maplp import (
     FactorGraph,
+    SolverParams,
     XorShift64Star,
     dd_spec,
     gmplp_spec,
@@ -25,9 +27,10 @@ from maplp import (
     stealth_candidates,
 )
 import maplp.engine as engine
-from maplp.engine import _Sweep
+from maplp.engine import _run, _Sweep
 from maplp.factor_graph import table_shape
 
+from conftest import random_clusters_graph
 from test_compiled_sweep import SIX_SPECS, assert_same_run
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -40,6 +43,15 @@ def seeded_graph(cards, clusters, seed):
     return FactorGraph(cards, clusters, tables)
 
 
+def grow(graph, spec, beliefs, chosen):
+    """``spec`` with the unions of ``chosen`` added, and a zero table for
+    each new union put into ``beliefs``."""
+    for c in chosen:
+        if c.union not in beliefs:
+            beliefs[c.union] = np.zeros(table_shape(c.union, graph.cardinalities))
+    return spec.with_clusters({c.union: c.sub_clusters for c in chosen})
+
+
 def test_pursuit_grown_grid_with_nested_unions_matches_reference():
     """Three rounds of stealth additions on the 6x6x3 grid: each union
     lists every support cluster inside it, so its subs nest."""
@@ -50,23 +62,23 @@ def test_pursuit_grown_grid_with_nested_unions_matches_reference():
     for _ in range(3):
         chosen = stealth_candidates(spec, result.beliefs)[:10]
         assert chosen
-        spec = spec.with_clusters({c.union: c.sub_clusters for c in chosen})
-        for c in chosen:
-            if c.union not in result.beliefs:
-                result.beliefs[c.union] = np.zeros(table_shape(c.union, g.cardinalities))
-            nested += any(set(a) < set(b) for a in c.sub_clusters for b in c.sub_clusters)
+        spec = grow(g, spec, result.beliefs, chosen)
+        nested += sum(any(set(a) < set(b) for a in c.sub_clusters for b in c.sub_clusters)
+                      for c in chosen)
         result = assert_same_run(g, spec, max_sweeps=10, beliefs=result.beliefs)
     assert nested
 
 
+# Cardinalities 2, 3, 2, 2, 3 and a variable of one state.
+MIXED_CARDS = [2, 3, 2, 2, 3, 1]
+MIXED_CLUSTERS = [(0,), (1,), (2,), (3,), (4,), (5,), (0, 1), (1, 2), (0, 1, 2),
+                  (2, 3, 4), (3, 4), (4, 5), (1, 4, 5), (0, 3, 5)]
+
+
 @pytest.mark.parametrize("builder", SIX_SPECS)
 def test_mixed_and_unit_cardinalities_match_reference(builder):
-    """Cardinalities 2, 3, 2, 2, 3 and a variable of one state."""
-    cards = [2, 3, 2, 2, 3, 1]
-    clusters = [(0,), (1,), (2,), (3,), (4,), (5,), (0, 1), (1, 2), (0, 1, 2),
-                (2, 3, 4), (3, 4), (4, 5), (1, 4, 5), (0, 3, 5)]
     for seed in range(3):
-        g = seeded_graph(cards, clusters, seed)
+        g = seeded_graph(MIXED_CARDS, MIXED_CLUSTERS, seed)
         assert_same_run(g, builder(g), max_sweeps=20)
 
 
@@ -135,6 +147,115 @@ def test_one_step_per_level_on_sixteen_grid(name):
     sweep = _Sweep(g.cardinalities)
     sweep.prepare(spec, init_beliefs(g, spec))
     assert len(sweep.steps) == len(sweep.batches) == levels
+
+
+KEPT_CELLS = engine._KEPT_CELLS
+
+
+def all_parts(sweep):
+    return [p for parts in sweep.steps for p in parts]
+
+
+def kept_sizes(sweep):
+    """Cells of the maps each part of ``sweep`` keeps, counted from the
+    arrays themselves."""
+    return [G.size + sum(Q.size for Q in Qs) + R.size
+            for G, Qs, R in (p.kept for p in all_parts(sweep) if p.kept)]
+
+
+class BudgetedRuns:
+    """One warm-started state and kept sweep per keep budget, solved in
+    step; the budget is patched in around each solve."""
+
+    def __init__(self, monkeypatch, graph, spec, budgets):
+        self.monkeypatch, self.graph, self.budgets = monkeypatch, graph, budgets
+        self.states = {b: init_beliefs(graph, spec) for b in budgets}
+        self.sweeps = {b: _Sweep(graph.cardinalities) for b in budgets}
+
+    def solve(self, spec, max_sweeps):
+        """Solve ``spec`` at every budget; require ``==`` traces, decrease,
+        assignments and stores, and return the last budget's result."""
+        results = {}
+        for b in self.budgets:
+            self.monkeypatch.setattr(engine, "_KEPT_CELLS", b)
+            results[b] = _run(self.graph, spec, SolverParams(max_sweeps=max_sweeps),
+                              beliefs=self.states[b], sweep=self.sweeps[b])
+        first, *rest = self.budgets
+        stores = {b: sweep.store for b, sweep in self.sweeps.items()}
+        for b in rest:
+            assert results[b].trace.duals == results[first].trace.duals
+            assert results[b].trace.primals == results[first].trace.primals
+            assert results[b].min_update_decrease == results[first].min_update_decrease
+            assert results[b].assignment == results[first].assignment
+            assert stores[b].where == stores[first].where
+            assert np.array_equal(stores[b].buf[:stores[b].used],
+                                  stores[first].buf[:stores[first].used])
+        return results[self.budgets[-1]]
+
+
+@pytest.mark.parametrize("builder", SIX_SPECS)
+def test_kept_and_rebuilt_maps_agree_on_mixed_cardinalities(monkeypatch, builder):
+    for seed in range(3):
+        g = seeded_graph(MIXED_CARDS, MIXED_CLUSTERS, seed)
+        runs = BudgetedRuns(monkeypatch, g, builder(g), (0, KEPT_CELLS))
+        runs.solve(builder(g), max_sweeps=20)
+        assert not kept_sizes(runs.sweeps[0])
+        assert all(p.kept for p in all_parts(runs.sweeps[KEPT_CELLS]))
+
+
+def test_kept_and_rebuilt_maps_agree_on_pursuit_grown_grid(monkeypatch):
+    """The 6x6x3 grid keeps the maps of only some of its parts, so kept and
+    rebuilt maps meet in one sweep, before and after three pursuit rounds."""
+    g = random_grid(6, 6, 3, seed=0)
+    spec = dd_spec(g)
+    runs = BudgetedRuns(monkeypatch, g, spec, (0, KEPT_CELLS))
+    result = runs.solve(spec, max_sweeps=30)
+    for _ in range(3):
+        chosen = stealth_candidates(spec, result.beliefs)[:10]
+        assert chosen
+        spec = grow(g, spec, runs.states[0], chosen)
+        grow(g, spec, runs.states[KEPT_CELLS], chosen)
+        result = runs.solve(spec, max_sweeps=10)
+        kept = [bool(p.kept) for p in all_parts(runs.sweeps[KEPT_CELLS])]
+        assert any(kept) and not all(kept)
+        assert not kept_sizes(runs.sweeps[0])
+
+
+def test_kept_cells_stay_within_budget_across_pursuit_rounds():
+    """After each of three pursuit rounds the kept cells are within the
+    budget and are those of the current parts: a rebuilt level's old parts
+    gave theirs back (on ``gmplp`` the first round rebuilds a kept level
+    whose grown parts no longer fit)."""
+    g = random_grid(6, 6, 3, seed=0)
+    spec = gmplp_spec(g)
+    sweep = _Sweep(g.cardinalities)
+    result = _run(g, spec, SolverParams(max_sweeps=30), sweep=sweep)
+    assert sweep.kept_cells == sum(kept_sizes(sweep)) <= KEPT_CELLS
+    freed = 0
+    for _ in range(3):
+        chosen = stealth_candidates(spec, result.beliefs)[:10]
+        spec = grow(g, spec, result.beliefs, chosen)
+        before, old = sweep.kept_cells, all_parts(sweep)
+        result = _run(g, spec, SolverParams(max_sweeps=10), beliefs=result.beliefs,
+                      sweep=sweep)
+        current = all_parts(sweep)
+        gone = sum(p.map_cells for p in old if p.kept and all(p is not q for q in current))
+        added = sum(p.map_cells for p in current if p.kept and all(p is not q for q in old))
+        assert sweep.kept_cells == before - gone + added
+        assert sweep.kept_cells == sum(kept_sizes(sweep)) <= KEPT_CELLS
+        freed += gone
+    assert freed
+
+
+@pytest.mark.parametrize("builder", SIX_SPECS)
+def test_twelve_variable_instances_keep_every_map(builder):
+    for seed in range(6):
+        g = random_clusters_graph(seed, max_vars=12)
+        spec = builder(g)
+        sweep = _Sweep(g.cardinalities)
+        sweep.prepare(spec, init_beliefs(g, spec))
+        assert sweep.steps
+        assert all(p.kept for p in all_parts(sweep))
 
 
 # Bytes that ``retained_by_prepare`` counts for a ``ps`` sweep of the

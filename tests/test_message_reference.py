@@ -7,6 +7,10 @@ left to right in table order, decoding from the smallest owner table and the
 primal summed in potential order.  Running message mode through the shared
 driver must not change a single bit, so every comparison here is exact
 ``==``.
+
+That reference shares ``_MessageContext`` with the driver, so
+``closed_form_message_run`` also writes the closed-form update out from
+``table_shape``, ``_embed_index`` and ``_max_axes`` alone.
 """
 
 import numpy as np
@@ -22,7 +26,8 @@ from maplp import (
     stealth_candidates,
     update_cluster_messages,
 )
-from maplp.engine import _MessageContext, _run
+from maplp.engine import _embed_index, _max_axes, _MessageContext, _run
+from maplp.factor_graph import table_shape
 
 from conftest import random_clusters_graph
 from test_compiled_sweep import SIX_SPECS, reference_decode, reference_dual
@@ -70,6 +75,81 @@ def assert_same_message_run(graph, spec, max_sweeps, messages=None):
     for e, table in ref_msgs.items():
         assert np.array_equal(result.messages[e], table), e
     return result
+
+
+def closed_form_message_run(graph, spec, max_sweeps, inner_tol=SolverParams.inner_tol):
+    """Message mode from the closed form: for ``c`` with proper subs ``S``,
+    ``bracket = theta_c + in_c + sum_s piece_s`` (embedded), where
+    ``piece_s = theta_s - out_s + in_s - m_cs``, and each new ``m_cs`` is
+    ``max over c\\s of bracket, divided by |S|, minus piece_s``.  A belief
+    is ``theta_t + in_t - out_t``.  Returns duals, primals, the assignment,
+    the final beliefs and the messages."""
+    msgs = init_messages(spec, graph.cardinalities)
+    theta = {p.scope: p.values for p in graph.potentials}
+    senders = {t: [c for c in spec.extended_clusters if t in spec.proper_subs_of(c)]
+               for t in spec.support}
+
+    def potential(t):
+        return theta[t] if t in theta else np.zeros(table_shape(t, graph.cardinalities))
+
+    def incoming(t):
+        total = np.zeros(table_shape(t, graph.cardinalities))
+        for c in senders[t]:
+            total += msgs[(c, t)]
+        return total
+
+    def outgoing(t):
+        total = np.zeros(table_shape(t, graph.cardinalities))
+        for s in spec.proper_subs_of(t):
+            total += msgs[(t, s)][_embed_index(s, t)]
+        return total
+
+    def beliefs():
+        return {t: potential(t) + incoming(t) - outgoing(t) for t in spec.support}
+
+    duals, primals = [], []
+    g_prev = reference_dual(beliefs())
+    for _ in range(max_sweeps):
+        for c in spec.extended_clusters:
+            subs = spec.proper_subs_of(c)
+            if not subs:
+                continue
+            pieces = [potential(s) - outgoing(s) + incoming(s) - msgs[(c, s)] for s in subs]
+            bracket = potential(c) + incoming(c)
+            for s, piece in zip(subs, pieces):
+                bracket = bracket + piece[_embed_index(s, c)]
+            for s, piece in zip(subs, pieces):
+                msgs[(c, s)] = bracket.max(axis=_max_axes(s, c)) * (1.0 / len(subs)) - piece
+        tables = beliefs()
+        duals.append(reference_dual(tables))
+        primals.append(energy(graph, reference_decode(tables, graph.num_vars)))
+        if abs(duals[-1] - g_prev) < inner_tol:
+            break
+        g_prev = duals[-1]
+    return duals, primals, reference_decode(tables, graph.num_vars), tables, msgs
+
+
+def assert_closed_form_run(graph, spec, max_sweeps):
+    result = run(graph, spec, SolverParams(max_sweeps=max_sweeps), "messages")
+    duals, primals, assignment, tables, msgs = closed_form_message_run(graph, spec, max_sweeps)
+    assert result.trace.duals == duals
+    assert result.trace.primals == primals
+    assert result.assignment == assignment
+    assert list(result.beliefs) == list(tables)
+    for t, table in tables.items():
+        assert np.array_equal(result.beliefs[t], table), t
+    assert list(result.messages) == list(msgs)
+    for e, table in msgs.items():
+        assert np.array_equal(result.messages[e], table), e
+
+
+@pytest.mark.parametrize("builder", SIX_SPECS)
+def test_closed_form_matches_message_mode_exactly(builder):
+    g = random_grid(5, 5, 3, seed=1)
+    assert_closed_form_run(g, builder(g), max_sweeps=20)
+    for seed in range(3):
+        g = random_clusters_graph(200 + seed, max_vars=12)
+        assert_closed_form_run(g, builder(g), max_sweeps=20)
 
 
 @pytest.mark.parametrize("builder", SIX_SPECS)

@@ -1,7 +1,7 @@
-"""The benchmark runs end to end: one short cycles-pursuit run and one short
-small-certify run (whose gates include the rank-certified diagram
-reductions) exit 0 with every gate passed and report exactly the end-to-end
-metrics that ``BENCHMARK.json`` declares."""
+"""The benchmark runs end to end: one short run of each workload exits 0 with
+every gate passed (grid-solve's include the belief scalars per sweep of each
+relaxation, small-certify's the rank-certified diagram reductions) and
+reports exactly the end-to-end metrics that ``BENCHMARK.json`` declares."""
 
 import json
 import subprocess
@@ -23,6 +23,10 @@ def run_smoke(workload):
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert list(result["metrics"]) == [m["name"] for m in declared]
+
+
+def test_grid_solve_smoke():
+    run_smoke("grid-solve")
 
 
 def test_cycles_pursuit_smoke():
