@@ -25,12 +25,13 @@ Both modes run through one driver: one sweep loop, one trace record per
 sweep, one set of stopping rules (inner tolerance, sweep cap,
 ``time_limit``).  The state's tables live in one flat float64 store, each
 at a fixed offset; the returned state is a plain dict of views into it
-(:data:`BeliefState`), and the dual, the decoder and pursuit's candidate
-search read the store too.  A message-mode sweep is one step: every
-message update in insertion order, then the beliefs rebuilt into the
-store.  It reports no block drop, so ``min_update_decrease`` reads 0.0 in
-message mode.  Each table's shape and each edge's embed index and max axes
-are computed once per run, in the message context.
+(:data:`BeliefState`); the solver's dual and decoder read the store too,
+and pursuit's candidate search reads the tables in place.  A message-mode
+sweep is one step: every message update in insertion order, then the
+beliefs rebuilt into the store.  It reports no block drop, so
+``min_update_decrease`` reads 0.0 in message mode.  Each table's shape and
+each edge's embed index and max axes are computed once per run, in the
+message context.
 
 In belief mode the sweep is compiled into one step per level.
 ``level(c) = 1 + max level of the earlier updating clusters that share a
@@ -256,12 +257,6 @@ class _Store:
         shape, offset = self.shape[t], self.where[t]
         return self.buf[offset:offset + prod(shape)].reshape(shape)
 
-    def cells(self, ts: Sequence[Cluster]) -> np.ndarray:
-        """Store indices of the tables ``ts``, all of one size: one row of
-        cells per table."""
-        offsets = np.fromiter(map(self.where.__getitem__, ts), np.intp, len(ts))
-        return offsets[:, None] + np.arange(prod(self.shape[ts[0]]))
-
     def dual(self) -> float:
         """Sum of the table maxima, left to right in table order: not
         ``np.sum`` (pairwise) nor builtin ``sum`` (compensated from Python
@@ -307,7 +302,7 @@ class _Store:
             rows, owned = by_shape.setdefault(self.shape[t], ({}, []))
             owned.append((i, t.index(i), rows.setdefault(t, len(rows))))
         return [
-            (shape, self.cells(list(rows)),
+            (shape, np.array([self.where[t] for t in rows])[:, None] + np.arange(prod(shape)),
              *(np.array(column, dtype=np.intp) for column in zip(*owned)))
             for shape, (rows, owned) in by_shape.items()
         ]
@@ -807,10 +802,7 @@ class _MessageContext:
         for t in self.support:
             p = graph._by_scope.get(t)
             self.theta[t] = p.values if p is not None else np.zeros(self.shape[t])
-        self.senders: dict[Cluster, list[Cluster]] = {t: [] for t in self.support}
-        for c in spec.extended_clusters:
-            for s in spec.proper_subs_of(c):
-                self.senders[s].append(c)
+        self.senders = spec._senders
         # Per cluster, each proper sub with its embed index and max axes.
         self.outgoing: dict[Cluster, list[tuple[Cluster, tuple, tuple[int, ...]]]] = {
             c: [(s, _embed_index(s, c), _max_axes(s, c)) for s in spec.proper_subs_of(c)]

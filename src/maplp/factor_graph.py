@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +28,8 @@ _MASK64 = (1 << 64) - 1
 
 
 class InvalidAssignmentError(ValueError):
-    """An assignment has the wrong length or an out-of-range state."""
+    """An assignment has the wrong length or a non-integer or out-of-range
+    state."""
 
 
 class EnumerationCapError(ValueError):
@@ -166,12 +168,15 @@ def restrict(states: Sequence[int], sub: Cluster, scope: Cluster | None = None) 
 
 
 def energy(graph: FactorGraph, x: Sequence[int]) -> float:
-    """Total log-potential of a full assignment: the sum of table lookups."""
+    """Total log-potential of a full assignment: the sum of table lookups.
+    States must be integers (numpy integers included, bools not)."""
     if len(x) != graph.num_vars:
         raise InvalidAssignmentError(
             f"assignment has {len(x)} states for {graph.num_vars} variables"
         )
     for i, (s, k) in enumerate(zip(x, graph.cardinalities)):
+        if isinstance(s, bool) or not isinstance(s, Integral):
+            raise InvalidAssignmentError(f"state {s!r} for variable {i} is not an integer")
         if not 0 <= s < k:
             raise InvalidAssignmentError(f"state {s} out of range for variable {i}")
     total = 0.0

@@ -10,15 +10,12 @@ single block update of the union would achieve from its zero table
 (:func:`maplp.engine.dual_decrease`), and the best few are added per round.
 
 What a round costs.  The candidate search is batched over the current
-beliefs (Sontag, Choe & Li, UAI 2012): the support tables are stacked by
-shape once, one argmax per row decodes every parent, each distinct union is
-scored once, and the unions are scored in one numpy update per union order
-and sub-cluster layout.  The solve then grows the compiled sweep it kept
-from the round before (see :mod:`maplp.engine`) instead of compiling the
-grown spec from scratch, and the spec itself checks only the clusters a
-round adds.  On 100 frustrated 4-cycles (seed 3, 13 rounds; 2-vCPU host,
-best of 5) the 13 searches take 0.08-0.09 s where the per-pair search took
-0.40 s, and a whole solve 0.27 s where it took 0.59 s.
+beliefs (Sontag, Choe & Li, UAI 2012): it stacks the tables it reads by
+shape, decodes every parent with one argmax per row, and scores each
+distinct union once, in one numpy update per union order and sub-cluster
+layout.  The solve then grows the compiled sweep it kept from the round
+before (see :mod:`maplp.engine`) instead of compiling the grown spec from
+scratch, and the spec itself checks only the clusters a round adds.
 """
 
 from __future__ import annotations
@@ -40,12 +37,11 @@ from .engine import (
     _check_support,
     _embed_index,
     _run,
-    _Store,
     _Sweep,
     _TraceEnd,
     init_messages,
 )
-from .factor_graph import Cluster, FactorGraph, table_shape
+from .factor_graph import Cluster, FactorGraph, InvalidModelError, table_shape
 from .relaxations import RelaxationSpec, _canonical, _inside
 
 logger = logging.getLogger(__name__)
@@ -85,37 +81,32 @@ def stealth_candidates(
     its first pair; results are sorted by descending score, then
     lexicographic union.
 
-    The search is batched: the support tables are stacked by shape, one
-    argmax per row decodes every parent, and the unions are scored in one
-    numpy update per union order and sub-cluster layout, with the float
-    operations of :func:`~maplp.engine.dual_decrease` on a zero union table,
-    so scores are bit-identical to it.  Raises ``ValueError`` unless
-    ``max_order`` is an integer >= 1, and :class:`CoverageError` when a
-    support cluster has no table.
+    The search is batched: the tables it reads are stacked by shape
+    straight from ``beliefs``, one argmax per row decodes every parent, and
+    the unions are scored in one numpy update per union order and
+    sub-cluster layout, with the float operations of
+    :func:`~maplp.engine.dual_decrease` on a zero union table, so scores
+    are bit-identical to it.  Raises ``ValueError`` unless ``max_order`` is
+    an integer >= 1, :class:`CoverageError` when a support cluster has no
+    table, and :class:`InvalidModelError` when a table it reads has a NaN
+    or infinite entry.
     """
     _check_max_order(max_order)
     _check_support(spec, beliefs)
-    # senders[s]: the extended clusters listing s as a proper sub-cluster,
-    # so two clusters have a common parent when their senders meet.
-    senders: dict[Cluster, list[Cluster]] = {}
-    parents = []
-    for c in spec.extended_clusters:
-        for s in spec.proper_subs_of(c):
-            senders.setdefault(s, []).append(c)
-        if spec.proper_subs_of(c):
-            parents.append(c)
-    store = _Store({t: beliefs[t] for t in spec.support})
-    state_of = _first_maximisers(store, parents)
+    # Two clusters have a common parent when their senders meet.
+    senders = spec._senders
+    parents = [c for c in spec.extended_clusters if spec.proper_subs_of(c)]
+    state_of = _first_maximisers(beliefs, parents)
 
     first: dict[Cluster, tuple[Cluster, Cluster, Cluster]] = {}
     skipped_large = 0
-    for t, cs in sorted(senders.items()):
+    for t, cs in sorted(item for item in senders.items() if len(item[1]) > 1):
         cs = sorted(cs)
         projs = [tuple(map(state_of[c].__getitem__, t)) for c in cs]
         if projs.count(projs[0]) == len(projs):
             continue
         for (p1, c1), (p2, c2) in combinations(zip(projs, cs), 2):
-            if p1 == p2 or not set(senders.get(c1, ())).isdisjoint(senders.get(c2, ())):
+            if p1 == p2 or not set(senders[c1]).isdisjoint(senders[c2]):
                 continue
             union = tuple(sorted(set(c1) | set(c2)))
             if len(union) > max_order:
@@ -129,7 +120,7 @@ def stealth_candidates(
         )
     index = spec._support_index
     subs_of = {u: _canonical(s for s in _inside(index, u) if s != u) for u in first}
-    scores = _union_scores(store, subs_of)
+    scores = _union_scores(beliefs, subs_of)
     found = [
         StealthCandidate((c1, c2), t, u, subs_of[u], scores[u])
         for u, (c1, c2, t) in first.items()
@@ -142,23 +133,32 @@ def _check_max_order(max_order: int) -> None:
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
 
 
-def _first_maximisers(store: _Store, ts: list[Cluster]) -> dict[Cluster, dict[int, int]]:
-    """The decoded (first flat-index) maximiser of each of the stored
-    tables ``ts``, as a state per variable: one argmax per table, stacked
-    by shape."""
+def _stacked(beliefs: BeliefState, ts: list[Cluster]) -> np.ndarray:
+    """The tables ``ts``, all of one shape, stacked as float64 and checked finite."""
+    stack = np.stack([beliefs[t] for t in ts], dtype=np.float64)
+    if not np.isfinite(stack).all():
+        bad = sorted({t for t in ts if not np.isfinite(beliefs[t]).all()})
+        raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
+    return stack
+
+
+def _first_maximisers(beliefs: BeliefState, ts: list[Cluster]) -> dict[Cluster, dict[int, int]]:
+    """The decoded (first flat-index) maximiser of each of the tables
+    ``ts``, as a state per variable: one argmax per table, stacked by
+    shape."""
     by_shape: dict[tuple[int, ...], list[Cluster]] = {}
     for t in ts:
-        by_shape.setdefault(store.shape[t], []).append(t)
+        by_shape.setdefault(beliefs[t].shape, []).append(t)
     state_of: dict[Cluster, dict[int, int]] = {}
     for shape, ts in by_shape.items():
-        first = np.unravel_index(store.buf[store.cells(ts)].argmax(axis=1), shape)
+        first = np.unravel_index(_stacked(beliefs, ts).reshape(len(ts), -1).argmax(axis=1), shape)
         confs = np.array(first).T.tolist()
         state_of.update((t, dict(zip(t, conf))) for t, conf in zip(ts, confs))
     return state_of
 
 
 def _union_scores(
-    store: _Store, subs_of: dict[Cluster, tuple[Cluster, ...]]
+    beliefs: BeliefState, subs_of: dict[Cluster, tuple[Cluster, ...]]
 ) -> dict[Cluster, float]:
     """:func:`~maplp.engine.dual_decrease` of each union with the given
     sub-clusters at a zero union table, in one batch per union order and
@@ -169,15 +169,15 @@ def _union_scores(
     batches: dict[tuple, list[Cluster]] = {}
     for u, subs in subs_of.items():
         axis = {v: i for i, v in enumerate(u)}.__getitem__
-        layout = tuple((tuple(map(axis, s)), store.shape[s]) for s in subs)
+        layout = tuple((tuple(map(axis, s)), beliefs[s].shape) for s in subs)
         batches.setdefault((len(u), layout), []).append(u)
     scores: dict[Cluster, float] = {}
     for (_, layout), unions in batches.items():
         n, u = len(unions), unions[0]
         separate = np.zeros(n)
         joint = None
-        for i, (_, shape) in enumerate(layout):
-            bs = store.buf[store.cells([subs_of[v][i] for v in unions])].reshape(n, *shape)
+        for i in range(len(layout)):
+            bs = _stacked(beliefs, [subs_of[v][i] for v in unions])
             separate += bs.reshape(n, -1).max(axis=1)
             piece = bs[(slice(None), *_embed_index(subs_of[u][i], u))]
             joint = piece.copy() if joint is None else joint + piece

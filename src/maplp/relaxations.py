@@ -42,10 +42,10 @@ class RelaxationSpec:
 
     ``extended_clusters`` fixes the sweep order of the solver; sub-cluster
     tuples are stored in canonical (size, lexicographic) order.  ``support``
-    is derived, never stored in a field: it, its incidence index and the
-    proper sub-clusters of each extended cluster are computed once per
-    spec, outside the fields that ``==`` compares, and a spec grown by
-    :meth:`with_clusters` extends those of its parent.
+    is derived, never stored in a field: it, its incidence and sender
+    indexes and the proper sub-clusters of each extended cluster are
+    computed once per spec, outside the fields ``==`` compares; a grown
+    spec (:meth:`with_clusters`) extends all but the sender index.
     """
 
     extended_clusters: tuple[Cluster, ...]
@@ -86,6 +86,16 @@ class RelaxationSpec:
         for t in self.support:
             index.setdefault(t[0], []).append(t)
         return index
+
+    @cached_property
+    def _senders(self) -> dict[Cluster, list[Cluster]]:
+        """Support table -> the extended clusters listing it as a proper
+        sub-cluster, in sweep order."""
+        senders: dict[Cluster, list[Cluster]] = {t: [] for t in self.support}
+        for c in self.extended_clusters:
+            for s in self.proper_subs_of(c):
+                senders[s].append(c)
+        return senders
 
     def with_clusters(self, additions: Mapping[Cluster, Iterable[Cluster]]) -> "RelaxationSpec":
         """New spec with extra extended clusters (existing ones gain subs).

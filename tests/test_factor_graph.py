@@ -42,6 +42,17 @@ class TestEnergy:
         with pytest.raises(InvalidAssignmentError):
             energy(g, (0,))
 
+    @pytest.mark.parametrize("state", [0.5, 1.0, np.float64(0), True, np.bool_(False), "1", None])
+    def test_non_integer_state_rejected(self, state):
+        g = FactorGraph([2, 2], [(0, 1)], [np.zeros((2, 2))])
+        with pytest.raises(InvalidAssignmentError, match="variable 1 is not an integer"):
+            energy(g, (0, state))
+
+    def test_numpy_integer_states_accepted(self):
+        g = FactorGraph([2, 3], [(0, 1)], [np.arange(6.0).reshape(2, 3)])
+        assert energy(g, (np.int64(1), np.uint8(2))) == 5.0
+        assert energy(g, np.array([1, 2])) == 5.0
+
     def test_linearity_in_potentials(self):
         a = build_graph([2] * 5, CHAIN_CLUSTERS, seed=1)
         b = build_graph([2] * 5, CHAIN_CLUSTERS, seed=2)

@@ -164,3 +164,41 @@ def test_rounds_that_add_nothing_match_full_compiles(monkeypatch):
         monkeypatch, graph, params, lambda spec, beliefs, **kwargs: []
     )
     assert compiles == 1 and gained == 0 and not closed
+
+
+def fresh_senders(spec):
+    """Support table -> the extended clusters listing it as a proper
+    sub-cluster, in sweep order, built from scratch."""
+    senders = {t: [] for t in spec.support}
+    for c in spec.extended_clusters:
+        for s in spec.proper_subs_of(c):
+            senders[s].append(c)
+    return senders
+
+
+def test_sender_index_matches_fresh_build_every_round(monkeypatch):
+    """Each round's spec builds its own sender index on first use (a grown
+    spec does not carry its parent's), equal to a fresh one list for list,
+    also after an existing extended cluster gained sub-clusters; the
+    message context reads the same index."""
+    specs = []
+
+    def recording(spec, beliefs, **kwargs):
+        assert (specs and spec is specs[-1]) or "_senders" not in spec.__dict__
+        specs.append(spec)
+        return stealth_candidates(spec, beliefs, **kwargs)
+
+    monkeypatch.setattr(pursuit, "stealth_candidates", recording)
+    graph = random_grid(6, 6, 3, 0)
+    params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
+    result = run_with_pursuit(graph, dd_spec(graph), params)
+    specs.append(result.spec)
+    gained = sum(
+        any(spec.subs_of(c) != before.subs_of(c) for c in before.extended_clusters)
+        for before, spec in zip(specs, specs[1:])
+    )
+    assert len(specs) >= 3 and gained >= 1
+    for spec in specs:
+        assert spec._senders == fresh_senders(spec)
+        assert list(spec._senders) == list(spec.support)
+        assert engine._MessageContext(graph, spec).senders is spec._senders

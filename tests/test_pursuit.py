@@ -1,5 +1,8 @@
 """Stealth candidate generation, scoring and the tightening loop."""
 
+import copy
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from maplp import (
     init_beliefs,
     dual_decrease,
     max_intersection_spec,
+    random_grid,
     run,
     run_with_pursuit,
     stealth_candidates,
@@ -106,6 +110,40 @@ class TestCandidates:
         spec, beliefs = grid_mi_beliefs(clique_grid)
         del beliefs[GRID_CLIQUES[0]]
         with pytest.raises(CoverageError, match=r"\[\(0, 1, 3, 4\)\] have no belief table"):
+            stealth_candidates(spec, beliefs)
+
+
+class TestBeliefsReadInPlace:
+    """The search reads the belief tables where they are: the solver's store
+    views and an independent deep copy give equal candidates, and neither
+    is written."""
+
+    def test_store_views_and_deep_copy_agree(self):
+        g = random_grid(3, 3, 2, 0)
+        spec = dd_spec(g)
+        views = run(g, spec, SolverParams(max_sweeps=500)).beliefs
+        assert len({id(v.base) for v in views.values()}) == 1
+        deep = copy.deepcopy(views)
+        assert all(deep[t].base is not views[t].base for t in views)
+        before = {t: v.tobytes() for t, v in views.items()}
+        got = stealth_candidates(spec, views)
+        assert got and stealth_candidates(spec, deep) == got
+        for t, bits in before.items():
+            assert views[t].tobytes() == bits and deep[t].tobytes() == bits, t
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["parent", "shared"])
+    def test_non_finite_table_named(self, value, which):
+        # Sorting on a NaN score gives no defined order, so a non-finite
+        # table the search reads is rejected.  Under dd the shared singleton
+        # is read only when scoring the unions, a parent when decoding.
+        g = random_grid(3, 3, 2, 0)
+        spec = dd_spec(g)
+        beliefs = copy.deepcopy(run(g, spec, SolverParams(max_sweeps=500)).beliefs)
+        first = stealth_candidates(spec, beliefs)[0]
+        t = first.parents[0] if which == "parent" else first.shared
+        beliefs[t].flat[-1] = value
+        with pytest.raises(InvalidModelError, match=rf"\[{re.escape(str(t))}\]: non-finite"):
             stealth_candidates(spec, beliefs)
 
 
