@@ -41,23 +41,27 @@ so running the levels in order gives exactly the insertion-order iterates
 NIPS 2007; Kolmogorov, PAMI 2006).  A :class:`_Level` step runs every
 update of its level in numpy calls that grow with its largest sub count and
 its (shape, sub layout) batches, not its members.  Its per-cell index maps
-come from shared templates; the compiled sweep keeps them for its first
-parts, within 64 KiB (``_KEPT_CELLS``), and the rest are rebuilt per call,
-since all of a large grid's maps would outweigh its tables.  A 12-variable
-instance keeps every map.  On a 16x16 grid with 3 states that is 47 / 47 /
-121 / 61 / 43 steps per sweep for ``gmplp`` / ``dd`` / ``ps`` / ``pi-s`` /
-``mi``.
+come from shared templates; the compiled sweep keeps them, with the
+``1/|S|`` scale of each new cell, for its first parts, within 64 KiB
+(``_KEPT_CELLS``), and the rest are rebuilt per call, since all of a large
+grid's maps would outweigh its tables.  A 12-variable instance keeps every
+map.  On a 16x16 grid with 3 states that is 47 / 47 / 121 / 61 / 43 steps
+per sweep for ``gmplp`` / ``dd`` / ``ps`` / ``pi-s`` / ``mi``.
 
 Each cluster keeps its float operations in the one-cluster order: ``joint
 = b_c + b_s1 + ...``, each new sub-table ``max * (1/|S|)``, then the
-subtractions in sub order.  Sums over a cluster's roles are in-place adds,
-one role at a time: ``np.sum`` and ``np.add.reduce`` may add pairwise, and
-``np.add.accumulate``, sequential too, is many times slower along that
-axis.  Maxima are exact in any order; a padded role adds zero.  The dual
-adds the table maxima left to right in table order, the primal the
-potential entries in potential order.  So traces, tables, the assignment
-and ``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
-sweep.
+subtractions in sub order; these run over a part's cells as in-place adds,
+one role at a time.  The block drop adds each member's role maxima in role
+order too.  A part with few members per sub adds them with one
+``np.add.accumulate`` down the role axis, which runs an inner loop per
+member, so a part with many adds one role at a time (``_SUM_MEMBERS``).
+``np.sum`` and ``np.add.reduce`` are used for neither: they add a
+contiguous axis pairwise, as the role axis of one member with 8 or more
+roles.  Maxima are exact in any order; a padded role adds zero.  The dual
+adds the table maxima left to right in table order, from ``0.0``, with one
+sequential accumulate; the primal adds the potential entries in potential
+order.  So traces, tables, the assignment and ``min_update_decrease`` are
+bit-identical to the one-cluster-at-a-time sweep.
 
 Pursuit keeps one :class:`_Sweep` across its belief-mode rounds.  A round
 that only appends clusters stores just the new tables (a full store is
@@ -258,15 +262,16 @@ class _Store:
         return self.buf[offset:offset + prod(shape)].reshape(shape)
 
     def dual(self) -> float:
-        """Sum of the table maxima, left to right in table order: not
-        ``np.sum`` (pairwise) nor builtin ``sum`` (compensated from Python
-        3.12 on), since dual traces are defined by this order."""
-        total = 0.0
-        if self.where:
-            maxima = np.maximum.reduceat(self.buf[:self.used], self._offsets)
-            for m in maxima[self._order].tolist():
-                total += m
-        return total
+        """Sum of the table maxima, left to right in table order and added
+        to ``0.0``: one sequential ``np.add.accumulate``, not ``np.sum``
+        (pairwise) nor builtin ``sum`` (compensated from Python 3.12 on),
+        since dual traces are defined by this order.  Adding the zero last
+        gives the same bits as adding it first: the partial sums differ at
+        most in the sign of a zero, which the final ``0.0 +`` clears."""
+        if not self._order.size:
+            return 0.0
+        maxima = np.maximum.reduceat(self.buf[:self.used], self._offsets)
+        return 0.0 + np.add.accumulate(maxima[self._order])[-1].item()
 
     def states(self, num_vars: int) -> list[int]:
         """Decoded state of every variable (see :func:`decode`)."""
@@ -368,8 +373,12 @@ class _Level:
     member cell: the members' tables, then each member's ``r``-th sub
     broadcast into its cells (the store's zero cell past its last sub).  New
     sub-table cells are one maximum per depth (cells projecting to one) over
-    a ``(depth, new cells)`` gather of the joint, gathered back into ``X``
-    to subtract; ``X`` is then scattered to the store."""
+    a ``(depth, new cells)`` gather of the joint, scaled by their member's
+    ``1/|S|``, and gathered back into ``X`` to subtract; ``X`` is then
+    scattered to the store.  Each member's drop comes from its role maxima,
+    ``(roles, members)``, summed with one accumulate per call when the part
+    has at most ``_SUM_MEMBERS`` members per sub past the first
+    (:attr:`accumulate`), else one role at a time."""
 
     def __init__(self, store: _Store, batches: Mapping[tuple, list[Cluster]],
                  subs_of: Callable[[Cluster], Sequence[Cluster]], templates: dict):
@@ -414,49 +423,58 @@ class _Level:
         self.delta = np.concatenate(deltas, axis=1)
         self.cells = np.array(cells, dtype=np.intp)
         self.starts = np.cumsum(self.cells) - self.cells
-        # Cells of the maps a call builds (``G``, the ``Q``s and ``R``), and
-        # the maps themselves if the compiled sweep keeps them.
-        self.map_cells = (2 * K + 1) * first + sum(d * n for d, n in counts.items())
+        self.accumulate = len(cells) <= _SUM_MEMBERS * (K - 1)
+        # Cells of the maps a call builds (``G``, the ``Q``s, ``R`` and the
+        # scale), and the maps themselves if the compiled sweep keeps them.
+        self.map_cells = (2 * K + 1) * first + sum(d * n for d, n in counts.items()) + self.size - 1
         self.kept: tuple | None = None
 
-    def maps(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    def maps(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
         """The index maps of a call: ``G`` gathers ``X`` from the store, each
         depth's ``Q`` the joint cells under each new cell, and ``R`` each
-        role's new sub-table cell back into ``X``."""
+        role's new sub-table cell back into ``X``; with them the scale of
+        each new cell, ``1/|S|`` of its member."""
         K = self.K
         G = _joined([(g[:, None, :] + o[:, :, None]).reshape(K + 1, -1) for g, o in self.gather])
         Qs = [_joined([(q[:, None, :] + b[:, None]).reshape(d, -1) for q, b in parts])
               for d, parts in self.depths]
         R = np.repeat(self.delta, self.cells, axis=1)
         R += G[1:]
-        return G, Qs, R
+        return G, Qs, R, np.repeat(self.inv, self.new_cells)
 
     def __call__(self) -> float:
         buf, K = self.store.buf, self.K
-        G, Qs, R = self.kept or self.maps()
+        G, Qs, R, scale = self.kept or self.maps()
         X = buf[G]
         before = np.maximum.reduceat(X, self.starts, axis=1)
         joint = X[0]
         for r in range(1, K + 1):
             joint += X[r]
-            before[0] += before[r]
         new = np.empty(self.size)
         new[0] = 0.0
         start = 1
         for Q in Qs:
             np.maximum.reduce(joint[Q], axis=0, out=new[start:start + Q.shape[1]])
             start += Q.shape[1]
-        new[1:] *= np.repeat(self.inv, self.new_cells)
+        new[1:] *= scale
         # In range by construction; "clip" writes to X without a buffer.
         np.take(new, R, out=X[1:], mode="clip")
         for r in range(1, K + 1):
             joint -= X[r]
         maxima = np.maximum.reduceat(X, self.starts, axis=1)
+        buf[G] = X
+        # Per member, the role maxima added in order 0..K before the update
+        # and 1..K, 0 after it.
+        if self.accumulate:
+            np.add.accumulate(before, axis=0, out=before)
+            np.add.accumulate(maxima[1:], axis=0, out=maxima[1:])
+            return float((before[K] - (maxima[K] + maxima[0])).min())
+        for r in range(1, K + 1):
+            before[0] += before[r]
         after = maxima[1]
         for r in range(2, K + 1):
             after += maxima[r]
         after += maxima[0]
-        buf[G] = X
         return float((before[0] - after).min())
 
 
@@ -552,8 +570,9 @@ def _schedule(
         level = 1 + max(levels.get(t, 0) for t in touched)
         for t in touched:
             levels[t] = level
-        layout = tuple(tuple(i for i, v in enumerate(c) if v in s) for s in subs)
-        key = (table_shape(c, cardinalities), layout)
+        # Each sub's kept axes: its variables' positions in c, increasing
+        # since both are sorted.
+        key = (table_shape(c, cardinalities), tuple([tuple(map(c.index, s)) for s in subs]))
         batches.setdefault(level, {}).setdefault(key, []).append(c)
         changed.add(level)
     return changed
@@ -563,10 +582,24 @@ def _schedule(
 # stay within 64 KiB each; no level of the 16x16x3 grid needs two parts.
 _PART_CELLS = 8192
 
-# Index-map cells a compiled sweep keeps across calls (64 KiB of intp), first
-# come, first served; a part past the budget rebuilds its maps per call.  A
-# 12-variable instance keeps every part's maps, a 16x16x3 grid those of its
-# first levels: all of them (2.2-4.7 MiB) would outweigh its tables.
+# A part adds its members' role maxima with one ``np.add.accumulate`` over
+# the role axis when it has at most this many members per sub past the
+# first, else with one add per role; both add in the same order.  The adds
+# cost a numpy call per role, the accumulate an inner loop per member.
+# Timed on the two role sums alone (2 vCPUs, numpy 2.4), the accumulate
+# stops winning near 12 members with 2 subs, 40 with 3 or 4, 100 with 6 to
+# 8 and 200 with 12 to 16; with 1 sub the adds always win.  So the parts of
+# a 12-variable instance (1-9 members) accumulate, and the 100-member ``dd``
+# levels of 100 four-cycles (2 subs) add.  (``np.add.reduce`` over the roles
+# is not used: it adds a contiguous role axis pairwise, as with one member
+# and 8 or more roles.)
+_SUM_MEMBERS = 12
+
+# Cells of index maps and new-cell scales a compiled sweep keeps across calls
+# (64 KiB of intp or float64), first come, first served; a part past the
+# budget rebuilds its maps and scale per call.  A 12-variable instance keeps
+# every part's maps, a 16x16x3 grid those of its first levels: all of them
+# (2.2-4.7 MiB) would outweigh its tables.
 _KEPT_CELLS = 8192
 
 
@@ -591,9 +624,9 @@ class _Sweep:
     :meth:`prepare` compiles it or, when the spec only appends clusters to
     the last one over the same state, stores the new tables and rebuilds
     the steps of the levels they join, which leaves a full compile's steps.
-    Anything else compiles from scratch.  Parts keep their index maps while
-    :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt level gives
-    its kept cells back."""
+    Anything else compiles from scratch.  Parts keep their index maps and
+    scale while :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt
+    level gives its kept cells back."""
 
     def __init__(self, cardinalities: Sequence[int]):
         self.cardinalities = cardinalities

@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from numbers import Integral
 
 import numpy as np
@@ -88,11 +88,14 @@ def stealth_candidates(
     :func:`~maplp.engine.dual_decrease` on a zero union table, so scores
     are bit-identical to it.  Raises ``ValueError`` unless ``max_order`` is
     an integer >= 1, :class:`CoverageError` when a support cluster has no
-    table, and :class:`InvalidModelError` when a table it reads has a NaN
-    or infinite entry.
+    table, and :class:`InvalidModelError` when a support table has not one
+    axis per variable of its cluster, a variable has two axis lengths
+    across the tables holding it, or a table it reads has a NaN or
+    infinite entry.
     """
     _check_max_order(max_order)
     _check_support(spec, beliefs)
+    _check_shapes(beliefs, spec.support)
     # Two clusters have a common parent when their senders meet.
     senders = spec._senders
     parents = [c for c in spec.extended_clusters if spec.proper_subs_of(c)]
@@ -102,7 +105,7 @@ def stealth_candidates(
     skipped_large = 0
     for t, cs in sorted(item for item in senders.items() if len(item[1]) > 1):
         cs = sorted(cs)
-        projs = [tuple(map(state_of[c].__getitem__, t)) for c in cs]
+        projs = [tuple(map(state_of[c].__getitem__, map(c.index, t))) for c in cs]
         if projs.count(projs[0]) == len(projs):
             continue
         for (p1, c1), (p2, c2) in combinations(zip(projs, cs), 2):
@@ -133,6 +136,29 @@ def _check_max_order(max_order: int) -> None:
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
 
 
+def _check_shapes(beliefs: BeliefState, ts: tuple[Cluster, ...]) -> None:
+    """Each of the tables ``ts`` has one axis per variable of its cluster,
+    and each variable one axis length in all of them; the search has no
+    cardinalities to check against.  Checked in C-level passes; the
+    clusters to name are searched only on failure."""
+    shapes = [beliefs[t].shape for t in ts]
+    length = dict(zip(chain.from_iterable(ts), chain.from_iterable(shapes)))
+    if (list(map(len, shapes)) == list(map(len, ts))
+            and list(map(length.__getitem__, chain.from_iterable(ts)))
+            == list(chain.from_iterable(shapes))):
+        return
+    holder: dict[int, tuple[int, Cluster]] = {}
+    for t, shape in zip(ts, shapes):
+        if len(shape) != len(t):
+            raise InvalidModelError(f"table for cluster {t} has shape {shape}: "
+                                    f"{len(shape)} axes for {len(t)} variables")
+        for v, n in zip(t, shape):
+            m, first = holder.setdefault(v, (n, t))
+            if m != n:
+                raise InvalidModelError(f"tables for clusters {first} and {t} give "
+                                        f"variable {v} {m} and {n} states")
+
+
 def _stacked(beliefs: BeliefState, ts: list[Cluster]) -> np.ndarray:
     """The tables ``ts``, all of one shape, stacked as float64 and checked finite."""
     stack = np.stack([beliefs[t] for t in ts], dtype=np.float64)
@@ -142,18 +168,16 @@ def _stacked(beliefs: BeliefState, ts: list[Cluster]) -> np.ndarray:
     return stack
 
 
-def _first_maximisers(beliefs: BeliefState, ts: list[Cluster]) -> dict[Cluster, dict[int, int]]:
+def _first_maximisers(beliefs: BeliefState, ts: list[Cluster]) -> dict[Cluster, list[int]]:
     """The decoded (first flat-index) maximiser of each of the tables
-    ``ts``, as a state per variable: one argmax per table, stacked by
-    shape."""
+    ``ts``, as a state per axis: one argmax per table, stacked by shape."""
     by_shape: dict[tuple[int, ...], list[Cluster]] = {}
     for t in ts:
         by_shape.setdefault(beliefs[t].shape, []).append(t)
-    state_of: dict[Cluster, dict[int, int]] = {}
+    state_of: dict[Cluster, list[int]] = {}
     for shape, ts in by_shape.items():
         first = np.unravel_index(_stacked(beliefs, ts).reshape(len(ts), -1).argmax(axis=1), shape)
-        confs = np.array(first).T.tolist()
-        state_of.update((t, dict(zip(t, conf))) for t, conf in zip(ts, confs))
+        state_of.update(zip(ts, np.array(first).T.tolist()))
     return state_of
 
 

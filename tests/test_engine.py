@@ -201,6 +201,18 @@ class TestDualObjective:
     def test_empty_support_is_zero(self):
         assert dual_objective(BeliefState({})) == 0.0
 
+    def test_sum_starts_from_positive_zero(self):
+        # Left to right from 0.0: all-negative-zero maxima sum to +0.0, and
+        # the order is sequential, not pairwise.
+        zeros = dual_objective({(v,): np.array([-0.0]) for v in range(3)})
+        assert zeros == 0.0 and np.copysign(1.0, zeros) == 1.0
+        maxima = [1.0] + [1e-16] * 11
+        total = 0.0
+        for m in maxima:
+            total += m
+        assert total == 1.0 and np.sum(maxima) > total
+        assert dual_objective({(v,): np.array([m]) for v, m in enumerate(maxima)}) == total
+
     def test_weak_duality_along_runs(self):
         for seed in range(8):
             g = random_clusters_graph(seed, max_vars=8)

@@ -15,6 +15,7 @@ import pytest
 
 from maplp import (
     FactorGraph,
+    RelaxationSpec,
     SolverParams,
     XorShift64Star,
     dd_spec,
@@ -157,10 +158,10 @@ def all_parts(sweep):
 
 
 def kept_sizes(sweep):
-    """Cells of the maps each part of ``sweep`` keeps, counted from the
-    arrays themselves."""
-    return [G.size + sum(Q.size for Q in Qs) + R.size
-            for G, Qs, R in (p.kept for p in all_parts(sweep) if p.kept)]
+    """Cells of the maps and scale each part of ``sweep`` keeps, counted
+    from the arrays themselves."""
+    return [G.size + sum(Q.size for Q in Qs) + R.size + scale.size
+            for G, Qs, R, scale in (p.kept for p in all_parts(sweep) if p.kept)]
 
 
 class BudgetedRuns:
@@ -256,6 +257,63 @@ def test_twelve_variable_instances_keep_every_map(builder):
         sweep.prepare(spec, init_beliefs(g, spec))
         assert sweep.steps
         assert all(p.kept for p in all_parts(sweep))
+
+
+def assert_role_sums_agree(monkeypatch, graph, spec, max_sweeps):
+    """Solve ``spec`` with every part adding its role maxima one role at a
+    time, then with one accumulate in every part of two or more subs;
+    require ``==`` drops of every step call, traces, decrease, assignments
+    and stores, and return the second run's sweep."""
+    step = engine._Level.__call__
+    runs = []
+    for members in (0, 10**9):
+        drops = []
+
+        def recorded(part):
+            drops.append(step(part))
+            return drops[-1]
+
+        monkeypatch.setattr(engine, "_SUM_MEMBERS", members)
+        monkeypatch.setattr(engine._Level, "__call__", recorded)
+        sweep = _Sweep(graph.cardinalities)
+        result = _run(graph, spec, SolverParams(max_sweeps=max_sweeps), sweep=sweep)
+        summed = [p for p in all_parts(sweep) if p.K > 1]
+        assert summed and all(p.accumulate == (members > 0) for p in summed)
+        runs.append((result, sweep, drops))
+    (adds, adds_sweep, adds_drops), (acc, acc_sweep, acc_drops) = runs
+    assert acc_drops == adds_drops
+    assert acc.trace.duals == adds.trace.duals
+    assert acc.trace.primals == adds.trace.primals
+    assert acc.min_update_decrease == adds.min_update_decrease
+    assert acc.assignment == adds.assignment
+    a, b = adds_sweep.store, acc_sweep.store
+    assert a.where == b.where
+    assert np.array_equal(a.buf[:a.used], b.buf[:b.used])
+    return acc_sweep
+
+
+def test_role_sums_agree_on_one_member_parts_of_nine_subs(monkeypatch):
+    """More than 8 roles, one member: where a pairwise sum would differ."""
+    first, second = tuple(range(9)), tuple(range(4, 13))
+    g = seeded_graph([2] * 13, [first, second, *((v,) for v in range(13))], seed=0)
+    spec = RelaxationSpec((first, second), {c: tuple((v,) for v in c) for c in (first, second)})
+    sweep = assert_role_sums_agree(monkeypatch, g, spec, max_sweeps=20)
+    assert [(p.K, len(p.cells)) for p in all_parts(sweep)] == [(9, 1), (9, 1)]
+
+
+@pytest.mark.parametrize("builder", SIX_SPECS)
+def test_role_sums_agree_on_unit_cardinalities(monkeypatch, builder):
+    g = seeded_graph([1] * 6, MIXED_CLUSTERS, seed=0)
+    assert_role_sums_agree(monkeypatch, g, builder(g), max_sweeps=10)
+
+
+def test_role_sums_agree_on_hundred_member_levels(monkeypatch):
+    """100 four-cycles under ``dd``: each level is one part of 100 members."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    clusters = [(4 * k + a, 4 * k + b) for k in range(100) for a, b in edges]
+    g = seeded_graph([2] * 400, clusters, seed=0)
+    sweep = assert_role_sums_agree(monkeypatch, g, dd_spec(g), max_sweeps=30)
+    assert {len(p.cells) for p in all_parts(sweep)} == {100}
 
 
 # Bytes that ``retained_by_prepare`` counts for a ``ps`` sweep of the

@@ -146,6 +146,21 @@ class TestBeliefsReadInPlace:
         with pytest.raises(InvalidModelError, match=rf"\[{re.escape(str(t))}\]: non-finite"):
             stealth_candidates(spec, beliefs)
 
+    @pytest.mark.parametrize("t, shape, message", [
+        ((0, 1), (2, 3), "clusters (1,) and (0, 1) give variable 1 2 and 3 states"),
+        ((0, 1), (4,), "cluster (0, 1) has shape (4,): 1 axes for 2 variables"),
+        ((4,), (3,), "clusters (4,) and (1, 4) give variable 4 3 and 2 states"),
+    ])
+    def test_mis_shaped_table_named(self, t, shape, message):
+        # The search has no cardinalities: a table must have one axis per
+        # variable, and a variable one axis length in every table.
+        g = random_grid(3, 3, 2, 0)
+        spec = dd_spec(g)
+        beliefs = copy.deepcopy(run(g, spec, SolverParams(max_sweeps=500)).beliefs)
+        beliefs[t] = np.zeros(shape)
+        with pytest.raises(InvalidModelError, match=re.escape(message)):
+            stealth_candidates(spec, beliefs)
+
 
 class TestScore:
     """A candidate's score is the drop of one block update of its union
