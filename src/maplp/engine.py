@@ -31,7 +31,9 @@ sweep is one step: every message update in insertion order, then the
 beliefs rebuilt into the store.  It reports no block drop, so
 ``min_update_decrease`` reads 0.0 in message mode.  Each table's shape and
 each edge's embed index and max axes are computed once per run, in the
-message context.
+message context; public ``update_cluster_messages`` builds one per call over
+the tables it reads, so no state outlives a call.  Every store checks the
+tables it copies: a non-finite entry raises ``InvalidModelError``.
 
 In belief mode the sweep is compiled into one step per level.
 ``level(c) = 1 + max level of the earlier updating clusters that share a
@@ -58,10 +60,12 @@ member, so a part with many adds one role at a time (``_SUM_MEMBERS``).
 ``np.sum`` and ``np.add.reduce`` are used for neither: they add a
 contiguous axis pairwise, as the role axis of one member with 8 or more
 roles.  Maxima are exact in any order; a padded role adds zero.  The dual
-adds the table maxima left to right in table order, from ``0.0``, with one
-sequential accumulate; the primal adds the potential entries in potential
-order.  So traces, tables, the assignment and ``min_update_decrease`` are
-bit-identical to the one-cluster-at-a-time sweep.
+adds the table maxima left to right in store order, which is the state's
+table order (a store grows only by tables appended to its state), from
+``0.0``, with one sequential accumulate; the primal adds the potential
+entries in potential order.  So traces, tables, the assignment and
+``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
+sweep.
 
 Pursuit keeps one :class:`_Sweep` across its belief-mode rounds.  A round
 that only appends clusters stores just the new tables (a full store is
@@ -75,7 +79,6 @@ rebuilds its state each round.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -176,16 +179,8 @@ def _max_axes(sub: Cluster, sup: Cluster) -> tuple[int, ...]:
 
 def init_beliefs(graph: FactorGraph, spec: RelaxationSpec) -> BeliefState:
     """Tables equal the log-potentials on original clusters, zero elsewhere."""
-    support = spec.support
-    tables: dict[Cluster, np.ndarray] = {}
-    shape_of = lambda t: table_shape(t, graph.cardinalities)
-    for t in support:
-        tables[t] = np.zeros(shape_of(t))
-    missing = [c for c in graph.clusters if c not in tables]
-    if missing:
-        raise CoverageError(
-            f"original clusters {missing} have no table under this relaxation"
-        )
+    tables = {t: np.zeros(table_shape(t, graph.cardinalities)) for t in spec.support}
+    _check_support(tables, graph.clusters)
     for p in graph.potentials:
         tables[p.scope] = p.values.copy()
     return tables
@@ -220,9 +215,10 @@ class _Store:
         self.grow(tables)
 
     def grow(self, tables: Mapping[Cluster, np.ndarray]) -> tuple[list[Cluster], bool]:
-        """Store the tables of ``tables`` that are not stored yet, and take
-        ``tables``' order as the dual's summation order.  Returns the new
-        tables and whether the array was reallocated."""
+        """Store the tables of ``tables`` not stored yet, after the stored
+        ones.  Returns them and whether the array was reallocated.  Raises
+        :class:`InvalidModelError`, storing nothing, when one has a
+        non-finite entry or, with cardinalities, the wrong shape."""
         new = [t for t in tables if t not in self.where]
         start, cards, shapes = self.used, self.cardinalities, {}
         for t in new if cards is not None else ():
@@ -232,22 +228,27 @@ class _Store:
             if tables[t].shape != table_shape(t, cards):
                 raise InvalidModelError(f"table for cluster {t} has shape "
                                         f"{tables[t].shape}, expected {table_shape(t, cards)}")
+        values = [tables[t] for t in new]
+        end = start + sum(v.size for v in values)
+        buf = self.buf
+        if end > len(buf):
+            spare = np.zeros(max(0, 2 * len(buf) - end))
+            buf = np.concatenate([buf[:start], *values, spare], axis=None)
+        elif new:
+            buf[start:end] = np.concatenate(values, axis=None)
+        # One pass over the new cells, past the used ones; tables are
+        # searched only on failure.
+        if not np.isfinite(buf[start:end]).all():
+            bad = [t for t in new if not np.isfinite(tables[t]).all()]
+            raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
+        moved, self.buf = buf is not self.buf, buf
         for t in new:
             self.where[t], shape = self.used, tables[t].shape
             self.shape[t] = shape = shapes.setdefault(shape, shape)
             self.used += prod(shape)
-        values = [tables[t] for t in new]
-        moved = self.used > len(self.buf)
-        if moved:
-            spare = np.zeros(max(0, 2 * len(self.buf) - self.used))
-            self.buf = np.concatenate([self.buf[:start], *values, spare], axis=None)
-        elif new:
-            self.buf[start:self.used] = np.concatenate(values, axis=None)
         if new and self._owner is not None:
             self._claim(new)
         self._offsets = np.fromiter(self.where.values(), np.intp, len(self.where))
-        rank = dict(zip(self.where, range(len(self.where))))
-        self._order = np.fromiter(map(rank.__getitem__, tables), np.intp, len(tables))
         self._decoder: list[tuple] | None = None
         return new, moved
 
@@ -262,16 +263,16 @@ class _Store:
         return self.buf[offset:offset + prod(shape)].reshape(shape)
 
     def dual(self) -> float:
-        """Sum of the table maxima, left to right in table order and added
+        """Sum of the table maxima, left to right in store order and added
         to ``0.0``: one sequential ``np.add.accumulate``, not ``np.sum``
         (pairwise) nor builtin ``sum`` (compensated from Python 3.12 on),
         since dual traces are defined by this order.  Adding the zero last
         gives the same bits as adding it first: the partial sums differ at
         most in the sign of a zero, which the final ``0.0 +`` clears."""
-        if not self._order.size:
+        if not self.where:
             return 0.0
         maxima = np.maximum.reduceat(self.buf[:self.used], self._offsets)
-        return 0.0 + np.add.accumulate(maxima[self._order])[-1].item()
+        return 0.0 + np.add.accumulate(maxima)[-1].item()
 
     def states(self, num_vars: int) -> list[int]:
         """Decoded state of every variable (see :func:`decode`)."""
@@ -315,21 +316,67 @@ class _Store:
 
 def dual_objective(beliefs: BeliefState) -> float:
     """Sum over the support of each table's maximum entry, added left to
-    right in the state's table order."""
+    right in the state's table order.  Raises :class:`InvalidModelError`
+    as :func:`update_cluster_beliefs` does."""
+    _check_shapes(beliefs, tuple(beliefs))
     return _Store(beliefs).dual()
+
+
+def _check_support(beliefs: BeliefState, ts: Iterable[Cluster]) -> None:
+    missing = [t for t in ts if t not in beliefs]
+    if missing:
+        raise CoverageError(f"clusters {missing} have no belief table")
+
+
+def _check_shapes(beliefs: BeliefState, ts: tuple[Cluster, ...]) -> None:
+    """Each of the tables ``ts`` has one axis per variable of its cluster,
+    and each variable one axis length in all of them, for callers with no
+    cardinalities to check against.  Checked in C-level passes; the
+    clusters to name are searched only on failure."""
+    shapes = [beliefs[t].shape for t in ts]
+    length = dict(zip(chain.from_iterable(ts), chain.from_iterable(shapes)))
+    if (list(map(len, shapes)) == list(map(len, ts))
+            and list(map(length.__getitem__, chain.from_iterable(ts)))
+            == list(chain.from_iterable(shapes))):
+        return
+    holder: dict[int, tuple[int, Cluster]] = {}
+    for t, shape in zip(ts, shapes):
+        if len(shape) != len(t):
+            raise InvalidModelError(f"table for cluster {t} has shape {shape}: "
+                                    f"{len(shape)} axes for {len(t)} variables")
+        for v, n in zip(t, shape):
+            m, first = holder.setdefault(v, (n, t))
+            if m != n:
+                raise InvalidModelError(f"tables for clusters {first} and {t} give "
+                                        f"variable {v} {m} and {n} states")
+
+
+def _block(beliefs: BeliefState, c: Cluster,
+           sub_clusters: Sequence[Cluster]) -> tuple[list[Cluster], _Store]:
+    """The proper sub-clusters of a block update of ``c`` and a store of the
+    tables it reads, checked as :func:`update_cluster_beliefs` says."""
+    subs = [s for s in sub_clusters if s != c]
+    touched = (c, *subs)
+    _check_support(beliefs, touched)
+    outside = [s for s in subs if not set(s) <= set(c)]
+    if outside:
+        raise InvalidModelError(f"sub-clusters {outside} are not inside {c}")
+    _check_shapes(beliefs, touched)
+    return subs, _Store({t: beliefs[t] for t in touched})
 
 
 def dual_decrease(beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Cluster]) -> float:
     """Objective drop a block update of ``c`` would achieve right now:
-    separate maxima minus the joint maximum."""
-    subs = [s for s in sub_clusters if s != c]
+    separate maxima minus the joint maximum.  Raises as
+    :func:`update_cluster_beliefs` does."""
+    subs, store = _block(beliefs, c, sub_clusters)
     if not subs:
         return 0.0
-    bc = beliefs[c]
+    bc = store.view(c)
     joint = bc.copy()
     separate = float(bc.max())
     for s in subs:
-        bs = beliefs[s]
+        bs = store.view(s)
         joint += bs[_embed_index(s, c)]
         separate += float(bs.max())
     return separate - float(joint.max())
@@ -485,21 +532,16 @@ def update_cluster_beliefs(
 
     All new sub-tables are computed from the same pre-update joint table, so
     the block is updated simultaneously, not sequentially.  The updated
-    tables are new arrays; the previous ones are left as they were.
+    tables are new arrays; the previous ones are left as they were.  Raises
+    :class:`CoverageError` for a missing table and :class:`InvalidModelError`
+    for a sub not inside ``c``, a table :func:`_check_shapes` rejects or a
+    non-finite entry, writing nothing.
     """
-    subs = [s for s in sub_clusters if s != c]
+    subs, store = _block(beliefs, c, sub_clusters)
     if not subs:
         return 0.0
-    bc = beliefs[c]
-    if bc.ndim != len(c):
-        raise InvalidModelError(f"table for {c} has {bc.ndim} axes, expected {len(c)}")
-    layout = tuple(tuple(i for i, v in enumerate(c) if v in s) for s in subs)
-    for s, kept in zip(subs, layout):
-        want = tuple(bc.shape[i] for i in kept)
-        if beliefs[s].shape != want:
-            raise InvalidModelError(f"table for {s} has shape {beliefs[s].shape}, expected {want}")
-    store = _Store({t: beliefs[t] for t in (c, *subs)})
-    drop = _Level(store, {(bc.shape, layout): [c]}, lambda _: subs, {})()
+    layout = tuple(tuple(map(c.index, s)) for s in subs)
+    drop = _Level(store, {(store.shape[c], layout): [c]}, lambda _: subs, {})()
     store.bind(beliefs, (c, *subs))
     return drop
 
@@ -701,16 +743,12 @@ def run(
     views into one flat array shared by all tables.
 
     Raises :class:`InvalidModelError` when ``validate(graph)`` reports a
-    problem or a passed table has the wrong shape or a non-finite entry.
+    problem or a passed table has the wrong shape or a non-finite entry,
+    and :class:`CoverageError` when a support cluster has no table.
     """
     _check_model(graph)
-    if beliefs is not None:
-        if mode == "messages":
-            raise ValueError("message mode takes no beliefs warm start")
-        # One pass over all cells (none for an empty state); tables are searched only on failure.
-        if not np.isfinite(np.concatenate([np.zeros(0), *beliefs.values()], axis=None)).all():
-            bad = [t for t, v in beliefs.items() if not np.isfinite(v).all()]
-            raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
+    if beliefs is not None and mode == "messages":
+        raise ValueError("message mode takes no beliefs warm start")
     return _run(graph, spec, params, mode, label=label, beliefs=beliefs)
 
 
@@ -718,12 +756,6 @@ def _check_model(graph: FactorGraph) -> None:
     problems = validate(graph)
     if problems:
         raise InvalidModelError("invalid model: " + "; ".join(problems))
-
-
-def _check_support(spec: RelaxationSpec, beliefs: BeliefState) -> None:
-    missing = [t for t in spec.support if t not in beliefs]
-    if missing:
-        raise CoverageError(f"support clusters {missing} have no belief table")
 
 
 def _run(
@@ -735,7 +767,6 @@ def _run(
     label: str = "",
     beliefs: BeliefState | None = None,
     messages: Messages | None = None,
-    max_sweeps: int | None = None,
     pursuit_round: int = 0,
     start_time: float | None = None,
     sweep_offset: int = 0,
@@ -744,20 +775,19 @@ def _run(
     """:func:`run` on a graph already checked by :func:`_check_model`.
 
     Pursuit re-enters here once per round with its warm state (``beliefs``
-    or ``messages``), its round budget, the start time and sweep count
-    that keep the trace cumulative across rounds and, in belief mode, the
-    :class:`_Sweep` it keeps across rounds.
+    or ``messages``), ``params`` with its round budget as ``max_sweeps``,
+    the start time and sweep count that keep the trace cumulative across
+    rounds and, in belief mode, the :class:`_Sweep` it keeps across rounds.
     """
     if params is None:
         params = SolverParams()
     if mode not in ("beliefs", "messages"):
         raise ValueError(f"unknown mode {mode!r}")
-    cap = params.max_sweeps if max_sweeps is None else max_sweeps
     t0 = time.perf_counter() if start_time is None else start_time
 
     if mode == "beliefs":
         state = beliefs if beliefs is not None else init_beliefs(graph, spec)
-        _check_support(spec, state)
+        _check_support(state, spec.support)
         sweep = _Sweep(graph.cardinalities) if sweep is None else sweep
         sweep.prepare(spec, state)
         store, steps = sweep.store, list(chain.from_iterable(sweep.steps))
@@ -765,11 +795,7 @@ def _run(
         ctx = _MessageContext(graph, spec)
         if messages is None:
             messages = init_messages(spec, graph.cardinalities)
-        for c in graph.clusters:
-            if c not in ctx.theta:
-                raise CoverageError(
-                    f"original cluster {c} has no table under this relaxation"
-                )
+        _check_support(ctx.theta, graph.clusters)
         state = ctx.beliefs(messages)
         store = _Store(state, graph.cardinalities)
         store.bind(state, list(store.where))
@@ -783,7 +809,7 @@ def _run(
     # Decoding once up front reports a variable in no table before any sweep.
     x = store.states(graph.num_vars)
     g_prev = store.dual()
-    for sweep in range(1, cap + 1):
+    for sweep in range(1, params.max_sweeps + 1):
         for step in steps:
             drop = step()
             if drop < min_drop:
@@ -822,24 +848,26 @@ def _run(
 
 
 class _MessageContext:
-    """Static structure shared by all message-mode updates: the sweep order,
-    who sends to whom, each support table's shape and potential table (zero
-    if absent), and each edge's embed index and max axes.  It holds neither
-    the graph nor the spec."""
+    """Static structure of message-mode updates over ``tables``, by default
+    the whole support: the sweep order, who sends to whom, each table's
+    shape and potential table (zero if absent), and the embed index and max
+    axes of each edge out of a table.  It holds neither the graph nor the
+    spec."""
 
-    def __init__(self, graph: FactorGraph, spec: RelaxationSpec):
+    def __init__(self, graph: FactorGraph, spec: RelaxationSpec,
+                 tables: Sequence[Cluster] | None = None):
         self.order = spec.extended_clusters
-        self.support = spec.support
+        self.support = spec.support if tables is None else tables
         self.shape = {t: table_shape(t, graph.cardinalities) for t in self.support}
         self.theta: dict[Cluster, np.ndarray] = {}
         for t in self.support:
             p = graph._by_scope.get(t)
             self.theta[t] = p.values if p is not None else np.zeros(self.shape[t])
         self.senders = spec._senders
-        # Per cluster, each proper sub with its embed index and max axes.
+        # Per table, each proper sub with its embed index and max axes.
         self.outgoing: dict[Cluster, list[tuple[Cluster, tuple, tuple[int, ...]]]] = {
             c: [(s, _embed_index(s, c), _max_axes(s, c)) for s in spec.proper_subs_of(c)]
-            for c in spec.extended_clusters
+            for c in self.support
         }
 
     def incoming_sum(self, msgs: Messages, t: Cluster) -> np.ndarray:
@@ -862,23 +890,13 @@ class _MessageContext:
         return {t: self.belief(msgs, t) for t in self.support}
 
 
-# The latest update_cluster_messages context, with its graph and spec.
-_last_context: tuple = (None, None, None)
-
-
 def update_cluster_messages(
     messages: Messages, graph: FactorGraph, spec: RelaxationSpec, c: Cluster
 ) -> None:
-    """One block update of all messages out of ``c`` (closed form).
-
-    Repeated calls on the same ``graph`` and ``spec`` objects share one
-    message context, which keeps neither of them alive."""
-    global _last_context
-    graph_ref, spec_ref, ctx = _last_context
-    if graph_ref is None or graph_ref() is not graph or spec_ref() is not spec:
-        ctx = _MessageContext(graph, spec)
-        _last_context = (weakref.ref(graph), weakref.ref(spec), ctx)
-    _update_messages(messages, ctx, c)
+    """One block update of all messages out of ``c`` (closed form), with a
+    message context over the tables it reads, ``c`` and its proper subs,
+    built per call; the sender index is the one cached on ``spec``."""
+    _update_messages(messages, _MessageContext(graph, spec, (c, *spec.proper_subs_of(c))), c)
 
 
 def _update_messages(msgs: Messages, ctx: _MessageContext, c: Cluster) -> None:

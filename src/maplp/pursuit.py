@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
-from itertools import chain, combinations
+from dataclasses import dataclass, replace
+from itertools import combinations
 from numbers import Integral
 
 import numpy as np
@@ -34,6 +34,7 @@ from .engine import (
     Messages,
     SolverParams,
     _check_model,
+    _check_shapes,
     _check_support,
     _embed_index,
     _run,
@@ -94,7 +95,7 @@ def stealth_candidates(
     infinite entry.
     """
     _check_max_order(max_order)
-    _check_support(spec, beliefs)
+    _check_support(beliefs, spec.support)
     _check_shapes(beliefs, spec.support)
     # Two clusters have a common parent when their senders meet.
     senders = spec._senders
@@ -134,29 +135,6 @@ def stealth_candidates(
 def _check_max_order(max_order: int) -> None:
     if isinstance(max_order, bool) or not isinstance(max_order, Integral) or max_order < 1:
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
-
-
-def _check_shapes(beliefs: BeliefState, ts: tuple[Cluster, ...]) -> None:
-    """Each of the tables ``ts`` has one axis per variable of its cluster,
-    and each variable one axis length in all of them; the search has no
-    cardinalities to check against.  Checked in C-level passes; the
-    clusters to name are searched only on failure."""
-    shapes = [beliefs[t].shape for t in ts]
-    length = dict(zip(chain.from_iterable(ts), chain.from_iterable(shapes)))
-    if (list(map(len, shapes)) == list(map(len, ts))
-            and list(map(length.__getitem__, chain.from_iterable(ts)))
-            == list(chain.from_iterable(shapes))):
-        return
-    holder: dict[int, tuple[int, Cluster]] = {}
-    for t, shape in zip(ts, shapes):
-        if len(shape) != len(t):
-            raise InvalidModelError(f"table for cluster {t} has shape {shape}: "
-                                    f"{len(shape)} axes for {len(t)} variables")
-        for v, n in zip(t, shape):
-            m, first = holder.setdefault(v, (n, t))
-            if m != n:
-                raise InvalidModelError(f"tables for clusters {first} and {t} give "
-                                        f"variable {v} {m} and {n} states")
 
 
 def _stacked(beliefs: BeliefState, ts: list[Cluster]) -> np.ndarray:
@@ -258,27 +236,22 @@ def run_with_pursuit(
     sweep = _Sweep(graph.cardinalities) if mode == "beliefs" else None
     rounds = 0
     truncated = False
-    sweeps_done = 0
 
     while True:
-        budget = params.max_sweeps if rounds == 0 else params.pursuit_sweeps
         result = _run(
             graph,
             current,
-            params,
+            params if rounds == 0 else replace(params, max_sweeps=params.pursuit_sweeps),
             mode,
             label=label,
             beliefs=beliefs,
             messages=messages,
-            max_sweeps=budget,
             pursuit_round=rounds,
             start_time=t0,
-            sweep_offset=sweeps_done,
+            sweep_offset=len(trace),
             sweep=sweep,
         )
         trace.records.extend(result.trace.records)
-        if result.trace.records:
-            sweeps_done = result.trace.records[-1].sweep
         beliefs = result.beliefs
         messages = result.messages
         if result.gap <= params.outer_tol:
