@@ -6,27 +6,37 @@ constraints; self-edges ``(c -> c)`` are representable (some relaxations
 carry them) but their constraints are vacuous, so they are ignored by the
 equivalence machinery and never rewired.
 
+Edge equivalence.  The senders of a target ``t`` are the nodes that
+strictly contain it.  An existing edge ``(c -> s)`` with ``t`` strictly below
+``s`` makes the long edge ``(c -> t)`` and the short edge ``(s -> t)``
+interchangeable, so the classes of ``t`` are the connected components of the
+non-self edges between its senders.  The paper's second rule (two receivers
+of one sender are interchangeable) is implied: both receivers are joined to
+that sender.  A diagram indexes its edges by node and its nodes by variable
+on first use, so classifying one target costs the nodes that hold its
+smallest variable and the edges between them, not the whole diagram.
+
 Two reductions are provided, both polytope-preserving:
 
 * ``reduce_edges`` keeps one representative per equivalence class of edges
-  into each target, where equivalence is the transitive closure of two
-  structural rules (a sender reachable through an intermediate subset, and
-  two receivers of a common sender).
+  into each target.
 * ``remove_node`` deletes a redundant non-anchor node and splices every
   incoming/outgoing edge pair into a direct edge.
 
 Redundancy detection is sound but deliberately incomplete: a non-anchor node
-is reported when it has exactly one (non-self) incoming edge, or when all its
-incoming edges fall into a single equivalence class.
+is reported when it has incoming (non-self) edges and they all fall into one
+equivalence class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from operator import lt
 
 from .factor_graph import Cluster
-from .relaxations import RelaxationSpec
+from .relaxations import RelaxationSpec, _incidence
 
 
 class DiagramError(ValueError):
@@ -79,13 +89,29 @@ class PolytopeDiagram:
         if not self.anchor_clusters <= self.nodes:
             raise DiagramError("anchor clusters must be diagram nodes")
 
+    @cached_property
+    def _links(self) -> dict[Cluster, tuple[list[Cluster], list[Cluster]]]:
+        """Node -> (sources of its non-self in-edges, targets of its non-self
+        out-edges), each sorted."""
+        links: dict = {v: ([], []) for v in self.nodes}
+        for c, s in sorted(self.edges):
+            if c != s:
+                links[s][0].append(c)
+                links[c][1].append(s)
+        return links
+
+    @cached_property
+    def _holders(self) -> dict[int, list[Cluster]]:
+        """Variable -> the nodes that hold it."""
+        return _incidence(self.nodes)
+
     def incoming(self, t: Cluster) -> list[Cluster]:
         """Sources of the non-self edges into ``t``, sorted."""
-        return sorted(c for c, s in self.edges if s == t and c != t)
+        return list(self._links.get(t, ((), ()))[0])
 
     def outgoing(self, c: Cluster) -> list[Cluster]:
         """Targets of the non-self edges out of ``c``, sorted."""
-        return sorted(s for cc, s in self.edges if cc == c and s != c)
+        return list(self._links.get(c, ((), ()))[1])
 
 
 def diagram_from_relaxation(
@@ -122,51 +148,26 @@ def relaxation_from_diagram(diagram: PolytopeDiagram) -> RelaxationSpec:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[Cluster, Cluster] = {}
-
-    def add(self, x: Cluster) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: Cluster) -> Cluster:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: Cluster, b: Cluster) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _classes_for_target(diagram: PolytopeDiagram, t: Cluster) -> tuple[frozenset[Cluster], ...]:
+    """The connected components of the non-self edges among ``t``'s senders,
+    listed by their smallest member."""
     ts = set(t)
-    senders = [v for v in diagram.nodes if ts < set(v)]
-    uf = _UnionFind()
-    for v in senders:
-        uf.add(v)
-    # Rule 1: an existing edge (c -> s) with t strictly below s strictly below
-    # c makes the long edge (c -> t) and the short edge (s -> t) equivalent.
-    for c, s in diagram.edges:
-        if c != s and ts < set(s) and set(s) < set(c):
-            uf.union(c, s)
-    # Rule 2: two receivers of one sender are equivalent senders for any
-    # target strictly below both.
-    by_source: dict[Cluster, list[Cluster]] = {}
-    for c, s in diagram.edges:
-        if c != s and ts < set(s):
-            by_source.setdefault(c, []).append(s)
-    for receivers in by_source.values():
-        for other in receivers[1:]:
-            uf.union(receivers[0], other)
-    groups: dict[Cluster, set[Cluster]] = {}
-    for v in senders:
-        groups.setdefault(uf.find(v), set()).add(v)
-    ordered = sorted(groups.values(), key=lambda g: min(g))
-    return tuple(frozenset(g) for g in ordered)
+    if t:
+        left = {v for v in diagram._holders[t[0]] if len(v) > len(t) and ts.issubset(v)}
+    else:
+        left = set(diagram.nodes) - {t}
+    classes = []
+    while left:
+        stack = [left.pop()]
+        group = set(stack)
+        while stack:
+            for w in chain(*diagram._links[stack.pop()]):
+                if w in left:
+                    left.remove(w)
+                    group.add(w)
+                    stack.append(w)
+        classes.append(frozenset(group))
+    return tuple(sorted(classes, key=min))
 
 
 def equivalent_edge_classes(
@@ -198,18 +199,16 @@ def _is_redundant(diagram: PolytopeDiagram, v: Cluster) -> bool:
     :func:`remove_node`."""
     if v in diagram.anchor_clusters:
         return False
-    inc = diagram.incoming(v)
-    if len(inc) <= 1:
-        return len(inc) == 1
-    return any(set(inc) <= group for group in _classes_for_target(diagram, v))
+    inc = set(diagram.incoming(v))
+    return bool(inc) and any(inc <= group for group in _classes_for_target(diagram, v))
 
 
 def redundant_nodes(diagram: PolytopeDiagram) -> set[Cluster]:
-    """Non-anchor nodes whose removal provably keeps the polytope: a single
-    (non-self) incoming edge, or all incoming edges in one equivalence class.
-    Nodes with no incoming edges are not reported; with two or more
-    receive-only constraints removed, mass-consistency between the receivers
-    would be lost."""
+    """Non-anchor nodes whose removal provably keeps the polytope: all their
+    (non-self) incoming edges, one or more, in one equivalence class.  Nodes
+    with no incoming edges are not reported; with two or more receive-only
+    constraints removed, mass-consistency between the receivers would be
+    lost."""
     return {v for v in diagram.nodes if _is_redundant(diagram, v)}
 
 
@@ -243,16 +242,13 @@ def reduce_edges(diagram: PolytopeDiagram) -> PolytopeDiagram:
     cheapest constraint of each class survives."""
     keep: set[Edge] = {(c, s) for c, s in diagram.edges if c == s}
     for t in diagram.nodes:
-        inc = diagram.incoming(t)
+        inc = set(diagram.incoming(t))
         if not inc:
             continue
-        if len(inc) == 1:
-            keep.add((inc[0], t))
-            continue
         for group in _classes_for_target(diagram, t):
-            present = sorted(set(inc) & group, key=lambda c: (len(c), c))
+            present = inc & group
             if present:
-                keep.add((present[0], t))
+                keep.add((min(present, key=lambda c: (len(c), c)), t))
     return PolytopeDiagram(diagram.nodes, frozenset(keep), diagram.anchor_clusters)
 
 

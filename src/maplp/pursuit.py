@@ -91,12 +91,16 @@ def stealth_candidates(
     an integer >= 1, :class:`CoverageError` when a support cluster has no
     table, and :class:`InvalidModelError` when a support table has not one
     axis per variable of its cluster, a variable has two axis lengths
-    across the tables holding it, or a table it reads has a NaN or
-    infinite entry.
+    across the tables holding it, or a support table has a NaN or infinite
+    entry.
     """
     _check_max_order(max_order)
     _check_support(beliefs, spec.support)
     _check_shapes(beliefs, spec.support)
+    # One pass over every support table, read or not.
+    if not np.isfinite(np.concatenate([beliefs[t] for t in spec.support], axis=None)).all():
+        bad = [t for t in spec.support if not np.isfinite(beliefs[t]).all()]
+        raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
     # Two clusters have a common parent when their senders meet.
     senders = spec._senders
     parents = [c for c in spec.extended_clusters if spec.proper_subs_of(c)]
@@ -137,15 +141,6 @@ def _check_max_order(max_order: int) -> None:
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
 
 
-def _stacked(beliefs: BeliefState, ts: list[Cluster]) -> np.ndarray:
-    """The tables ``ts``, all of one shape, stacked as float64 and checked finite."""
-    stack = np.stack([beliefs[t] for t in ts], dtype=np.float64)
-    if not np.isfinite(stack).all():
-        bad = sorted({t for t in ts if not np.isfinite(beliefs[t]).all()})
-        raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
-    return stack
-
-
 def _first_maximisers(beliefs: BeliefState, ts: list[Cluster]) -> dict[Cluster, list[int]]:
     """The decoded (first flat-index) maximiser of each of the tables
     ``ts``, as a state per axis: one argmax per table, stacked by shape."""
@@ -154,7 +149,8 @@ def _first_maximisers(beliefs: BeliefState, ts: list[Cluster]) -> dict[Cluster, 
         by_shape.setdefault(beliefs[t].shape, []).append(t)
     state_of: dict[Cluster, list[int]] = {}
     for shape, ts in by_shape.items():
-        first = np.unravel_index(_stacked(beliefs, ts).reshape(len(ts), -1).argmax(axis=1), shape)
+        stack = np.stack([beliefs[t] for t in ts], dtype=np.float64)
+        first = np.unravel_index(stack.reshape(len(ts), -1).argmax(axis=1), shape)
         state_of.update(zip(ts, np.array(first).T.tolist()))
     return state_of
 
@@ -179,7 +175,7 @@ def _union_scores(
         separate = np.zeros(n)
         joint = None
         for i in range(len(layout)):
-            bs = _stacked(beliefs, [subs_of[v][i] for v in unions])
+            bs = np.stack([beliefs[subs_of[v][i]] for v in unions], dtype=np.float64)
             separate += bs.reshape(n, -1).max(axis=1)
             piece = bs[(slice(None), *_embed_index(subs_of[u][i], u))]
             joint = piece.copy() if joint is None else joint + piece

@@ -77,3 +77,14 @@ def test_sub_outside_the_cluster_rejected(update):
     with pytest.raises(InvalidModelError, match=re.escape("[(2,)] are not inside (0, 1)")):
         update(beliefs, PAIR, [(0,), (2,)])
     assert {t: v.tobytes() for t, v in beliefs.items()} == before
+
+
+def test_candidate_search_rejects_a_table_it_does_not_read():
+    # Converged: the singleton (24,) is neither a parent nor a sub of any
+    # union the search scores, so only a pass over the whole support sees it.
+    g = random_grid(5, 5, 2, 1)
+    spec = dd_spec(g)
+    beliefs = run(g, spec, SolverParams(max_sweeps=300)).beliefs
+    beliefs[(24,)][0] = np.nan
+    with pytest.raises(InvalidModelError, match=re.escape("(24,)")):
+        stealth_candidates(spec, beliefs)

@@ -13,18 +13,23 @@ from maplp import (
     affine_system_equal,
     all_subsets_spec,
     constraint_system,
+    cycle_spec,
     dd_spec,
     diagram_from_relaxation,
     dump,
     equivalent_edge_classes,
     gmplp_spec,
+    max_intersection_spec,
+    pi_system_spec,
+    powerset_spec,
+    random_grid,
     redundant_nodes,
     reduce_edges,
     relaxation_from_diagram,
     remove_node,
 )
 
-from conftest import GRID_CLIQUES
+from conftest import CHAIN_CLUSTERS, GRID_CLIQUES, build_graph, random_clusters_graph
 
 
 def middle_chain_diagram():
@@ -315,3 +320,78 @@ class TestDump:
             "{2,3,4} -> {3,4}",
             "{3,4,5} -> {3,4}",
         ])
+
+
+class TestAgainstTheLiteralRules:
+    """The calculus against a union-find applying the paper's two rules as
+    stated, with the single-incoming-edge shortcuts: equal with ``==``."""
+
+    BUILDERS = (gmplp_spec, dd_spec, cycle_spec, powerset_spec, pi_system_spec,
+                max_intersection_spec, all_subsets_spec)
+
+    @staticmethod
+    def reference_classes(diagram, t):
+        ts = set(t)
+        senders = [v for v in diagram.nodes if ts < set(v)]
+        parent = {v: v for v in senders}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def union(a, b):
+            parent[find(b)] = find(a)
+
+        edges = [(c, s) for c, s in diagram.edges if c != s and ts < set(s)]
+        # Rule 1: (c -> s) with t < s < c joins the long and the short edge.
+        for c, s in edges:
+            if set(s) < set(c):
+                union(c, s)
+        # Rule 2: two receivers of one sender are equivalent senders.
+        by_source = {}
+        for c, s in edges:
+            by_source.setdefault(c, []).append(s)
+        for receivers in by_source.values():
+            for other in receivers[1:]:
+                union(receivers[0], other)
+        groups = {}
+        for v in senders:
+            groups.setdefault(find(v), set()).add(v)
+        return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+
+    def assert_matches(self, d):
+        classes = {t: self.reference_classes(d, t) for t in d.nodes}
+        redundant, keep = set(), {(c, s) for c, s in d.edges if c == s}
+        for t in d.nodes:
+            inc = {c for c, s in d.edges if s == t and c != t}
+            # the shortcut as first written: a lone source is its own class
+            groups = classes[t] if len(inc) > 1 else [inc]
+            if t not in d.anchor_clusters and inc and any(inc <= g for g in groups):
+                redundant.add(t)
+            for g in groups:
+                if inc & g:
+                    keep.add((min(inc & g, key=lambda c: (len(c), c)), t))
+        assert equivalent_edge_classes(d) == classes
+        assert redundant_nodes(d) == redundant
+        assert reduce_edges(d).edges == keep
+
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_reference_graphs(self, builder):
+        graphs = [build_graph([2] * 5, CHAIN_CLUSTERS), build_graph([2] * 9, GRID_CLIQUES),
+                  random_grid(3, 3, 2, 0), random_clusters_graph(0, max_vars=7)]
+        for g in graphs:
+            self.assert_matches(diagram_from_relaxation(builder(g), g.clusters))
+        self.assert_matches(middle_chain_diagram())
+
+    def test_random_binary_families(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from test_diagram_properties import binary_families
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(graph=binary_families())
+        def check(graph):
+            for builder in self.BUILDERS:
+                self.assert_matches(diagram_from_relaxation(builder(graph), graph.clusters))
+
+        check()
