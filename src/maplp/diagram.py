@@ -135,10 +135,15 @@ def diagram_from_relaxation(
 
 def relaxation_from_diagram(diagram: PolytopeDiagram) -> RelaxationSpec:
     """Inverse conversion: senders become extended clusters, edge targets
-    their sub-clusters.  Nodes without outgoing edges are receive-only."""
+    their sub-clusters.  Nodes that only receive stay receive-only; nodes
+    with no edge at all become extended clusters with no sub-clusters, as
+    ``dd_spec`` keeps its singletons, so that the support keeps them."""
     subs: dict[Cluster, set[Cluster]] = {}
     for c, s in diagram.edges:
         subs.setdefault(c, set()).add(s)
+    targets = {s for _, s in diagram.edges}
+    for t in diagram.nodes - targets - subs.keys():
+        subs[t] = set()
     ext = sorted(subs, key=lambda c: (len(c), c))
     return RelaxationSpec(tuple(ext), {c: tuple(ss) for c, ss in subs.items()})
 

@@ -68,12 +68,12 @@ entries in potential order.  So traces, tables, the assignment and
 sweep.
 
 Pursuit keeps one :class:`_Sweep` across its belief-mode rounds.  A round
-that only appends clusters stores just the new tables (a full store is
-reallocated at twice the size) and rebuilds only the steps of the levels
-the new clusters join, so the steps equal a full compile's.  Only a round
-in which an existing extended cluster gains sub-clusters compiles from
-scratch: 2 of 13 rounds on 100 frustrated 4-cycles (seed 3).  Message mode
-rebuilds its state each round.
+stores just the new tables (a full store is reallocated at twice the size;
+the decoder stays unless a variable changes owner), schedules the appended
+clusters on the kept level map, or every cluster afresh when one gains
+sub-clusters, and rebuilds only the levels whose batches change: the steps
+equal a full compile's, and a pursuit compiles once.  Message mode rebuilds
+its state each round.
 """
 
 from __future__ import annotations
@@ -246,10 +246,9 @@ class _Store:
             self.where[t], shape = self.used, tables[t].shape
             self.shape[t] = shape = shapes.setdefault(shape, shape)
             self.used += prod(shape)
-        if new and self._owner is not None:
-            self._claim(new)
+        if self._owner is None or self._claim(new):  # else the decoder stays valid
+            self._decoder: list[tuple] | None = None
         self._offsets = np.fromiter(self.where.values(), np.intp, len(self.where))
-        self._decoder: list[tuple] | None = None
         return new, moved
 
     def bind(self, tables: dict[Cluster, np.ndarray], clusters: Iterable[Cluster]) -> None:
@@ -284,15 +283,16 @@ class _Store:
             states[variables] = np.array(first)[axes, rows]
         return states.tolist()
 
-    def _claim(self, tables: Iterable[Cluster]) -> None:
+    def _claim(self, tables: Iterable[Cluster]) -> bool:
         """Make each of ``tables`` the owner of its variables where it is
-        smaller, or as small and lexicographically first."""
-        owner = self._owner
+        smaller, or as small and lexicographically first; True if an owner changed."""
+        owner, changed = self._owner, False
         for t in tables:
             for v in t:
                 o = owner.get(v)
                 if o is None or len(t) < len(o) or (len(t) == len(o) and t < o):
-                    owner[v] = t
+                    owner[v], changed = t, True
+        return changed
 
     def _owner_cells(self, num_vars: int) -> list[tuple]:
         """Per shape of owner tables: the shape, the owners' cells, and the
@@ -663,12 +663,12 @@ def _parts(batches: Mapping[tuple, list[Cluster]]) -> list[dict[tuple, list[Clus
 class _Sweep:
     """The compiled belief-mode sweep of a spec over a stored state:
     :attr:`steps` holds, per level, the :class:`_Level` parts that run it.
-    :meth:`prepare` compiles it or, when the spec only appends clusters to
-    the last one over the same state, stores the new tables and rebuilds
-    the steps of the levels they join, which leaves a full compile's steps.
-    Anything else compiles from scratch.  Parts keep their index maps and
-    scale while :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt
-    level gives its kept cells back."""
+    :meth:`prepare` compiles it for a new state.  For a spec grown from the
+    last one over the same state, it stores the new tables and rebuilds the
+    steps of the levels whose batches changed, which leaves a full
+    compile's steps.  Parts keep their index maps and scale while
+    :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt level gives
+    its kept cells back."""
 
     def __init__(self, cardinalities: Sequence[int]):
         self.cardinalities = cardinalities
@@ -676,19 +676,25 @@ class _Sweep:
         self.state: BeliefState | None = None
 
     def prepare(self, spec: RelaxationSpec, state: BeliefState) -> None:
-        old = self.spec
-        if (
-            state is self.state
-            and spec.extended_clusters[:len(old.extended_clusters)] == old.extended_clusters
-            and old.sub_clusters.items() <= spec.sub_clusters.items()
-        ):
-            clusters = spec.extended_clusters[len(old.extended_clusters):]
-            new, moved = self.store.grow(state)
-            self.store.bind(state, list(self.store.where) if moved else new)
-        else:
+        old, previous = self.spec, None
+        if state is not self.state:
             clusters = spec.extended_clusters
             self._compile(state)
-        for level in sorted(_schedule(spec, clusters, self.cardinalities, self.levels, self.batches)):
+        else:
+            new, moved = self.store.grow(state)
+            self.store.bind(state, list(self.store.where) if moved else new)
+            n = len(old.extended_clusters)
+            if (spec.extended_clusters[:n] == old.extended_clusters
+                    and old.sub_clusters.items() <= spec.sub_clusters.items()):
+                clusters = spec.extended_clusters[n:]
+            else:  # schedule afresh; keep the levels whose batches are unchanged
+                clusters, previous = spec.extended_clusters, self.batches
+                self.levels, self.batches = {}, {}
+        changed = _schedule(spec, clusters, self.cardinalities, self.levels, self.batches)
+        if previous is not None:
+            changed = {level for level in changed if list(self.batches[level].items())
+                       != list(previous.get(level, {}).items())}
+        for level in sorted(changed):
             if level <= len(self.steps):
                 self.kept_cells -= sum(p.map_cells for p in self.steps[level - 1] if p.kept)
             parts = [_Level(self.store, part, spec.proper_subs_of, self._templates)

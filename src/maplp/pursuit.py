@@ -10,21 +10,25 @@ single block update of the union would achieve from its zero table
 (:func:`maplp.engine.dual_decrease`), and the best few are added per round.
 
 What a round costs.  The candidate search is batched over the current
-beliefs (Sontag, Choe & Li, UAI 2012): it stacks the tables it reads by
-shape, decodes every parent with one argmax per row, and scores each
-distinct union once, in one numpy update per union order and sub-cluster
-layout.  The solve then grows the compiled sweep it kept from the round
-before (see :mod:`maplp.engine`) instead of compiling the grown spec from
-scratch, and the spec itself checks only the clusters a round adds.
+beliefs (Sontag, Choe & Li, UAI 2012) through an index kept with the spec
+and grown by ``with_clusters``: one argmax per shape of parents, one gather
+projecting every edge, and a Python pair loop only over the tables whose
+senders disagree, with common parents taken from the same edges; each
+union's sub-clusters and scoring layout are found once.  The solve grows
+its kept sweep (:mod:`maplp.engine`), also when a cluster gains subs.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import defaultdict
+from copy import copy
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations, islice
 from numbers import Integral
+from operator import attrgetter, eq
+from typing import Iterable
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .engine import (
     _embed_index,
     _run,
     _Sweep,
+    _template,
     _TraceEnd,
     init_messages,
 )
@@ -82,39 +87,59 @@ def stealth_candidates(
     its first pair; results are sorted by descending score, then
     lexicographic union.
 
-    The search is batched: the tables it reads are stacked by shape
-    straight from ``beliefs``, one argmax per row decodes every parent, and
-    the unions are scored in one numpy update per union order and
-    sub-cluster layout, with the float operations of
-    :func:`~maplp.engine.dual_decrease` on a zero union table, so scores
-    are bit-identical to it.  Raises ``ValueError`` unless ``max_order`` is
-    an integer >= 1, :class:`CoverageError` when a support cluster has no
-    table, and :class:`InvalidModelError` when a support table has not one
-    axis per variable of its cluster, a variable has two axis lengths
-    across the tables holding it, or a support table has a NaN or infinite
-    entry.
+    The search is batched over an index kept with the spec and grown with
+    it: one argmax per shape of parents, one gather projecting every edge,
+    and a pair loop over the tables whose senders disagree.  Unions are
+    scored in one numpy update per union order and sub-cluster layout, with
+    the float operations of :func:`~maplp.engine.dual_decrease` on a zero
+    union table, so scores are bit-identical to it.  Raises ``ValueError``
+    unless ``max_order`` is an integer >= 1, :class:`CoverageError` when a
+    support cluster has no table, and :class:`InvalidModelError` when a
+    support table has not one axis per variable of its cluster, a variable
+    has two axis lengths across the tables holding it, or a support table
+    has a NaN or infinite entry.
     """
     _check_max_order(max_order)
     _check_support(beliefs, spec.support)
-    _check_shapes(beliefs, spec.support)
+    index = spec.__dict__.get("_search")
+    if index is None or not all(map(eq, map(attrgetter("shape"), map(
+            beliefs.__getitem__, islice(index.order, index.n))), index.shapes)):
+        _check_shapes(beliefs, spec.support)
+        index = spec.__dict__["_search"] = _SearchIndex(spec, beliefs)
     # One pass over every support table, read or not.
-    if not np.isfinite(np.concatenate([beliefs[t] for t in spec.support], axis=None)).all():
+    tables = list(map(beliefs.__getitem__, islice(index.order, index.n)))
+    if not np.isfinite(np.concatenate(tables, axis=None)).all():
         bad = [t for t in spec.support if not np.isfinite(beliefs[t]).all()]
         raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
-    # Two clusters have a common parent when their senders meet.
-    senders = spec._senders
-    parents = [c for c in spec.extended_clusters if spec.proper_subs_of(c)]
-    state_of = _first_maximisers(beliefs, parents)
+    # Each parent's decoded cell, by shape; each edge's projection of it.
+    order = index.order
+    flat = np.empty(len(order), dtype=np.intp)
+    for ts, rows in index.groups.values():
+        stack = np.array(list(map(beliefs.__getitem__, ts)), dtype=np.float64)
+        flat[rows] = stack.reshape(len(ts), -1).argmax(axis=1)
+    parent, table, code = index.edges
+    proj = index.codes[code + flat[parent]]
+    # A table disagrees when some edge differs from one edge, any, into it.
+    some, marked = np.empty(len(order), np.intp), np.zeros(len(order), bool)
+    some[table] = proj
+    marked[table[proj != some[table]]] = True
+    hit = np.flatnonzero(marked[table])
+    sent: dict[Cluster, list[tuple[Cluster, int, int]]] = {}
+    for k, i, p in zip(table[hit].tolist(), parent[hit].tolist(), proj[hit].tolist()):
+        sent.setdefault(order[k], []).append((order[i], p, i))
+    # Two clusters have a common parent when the rows sending to them meet.
+    above: defaultdict[int, set[int]] = defaultdict(set)
+    marked[:] = False
+    marked[parent[hit]] = True
+    up = np.flatnonzero(marked[table])
+    for k, i in zip(table[up].tolist(), parent[up].tolist()):
+        above[k].add(i)
 
     first: dict[Cluster, tuple[Cluster, Cluster, Cluster]] = {}
     skipped_large = 0
-    for t, cs in sorted(item for item in senders.items() if len(item[1]) > 1):
-        cs = sorted(cs)
-        projs = [tuple(map(state_of[c].__getitem__, map(c.index, t))) for c in cs]
-        if projs.count(projs[0]) == len(projs):
-            continue
-        for (p1, c1), (p2, c2) in combinations(zip(projs, cs), 2):
-            if p1 == p2 or not set(senders[c1]).isdisjoint(senders[c2]):
+    for t in sorted(sent):
+        for (c1, p1, r1), (c2, p2, r2) in combinations(sorted(sent[t]), 2):
+            if p1 == p2 or not above[r1].isdisjoint(above[r2]):
                 continue
             union = tuple(sorted(set(c1) | set(c2)))
             if len(union) > max_order:
@@ -122,17 +147,12 @@ def stealth_candidates(
                 continue
             first.setdefault(union, (c1, c2, t))
     if skipped_large:
-        logger.warning(
-            "dropped %d stealth candidates above union order cap %d",
-            skipped_large, max_order,
-        )
-    index = spec._support_index
-    subs_of = {u: _canonical(s for s in _inside(index, u) if s != u) for u in first}
-    scores = _union_scores(beliefs, subs_of)
-    found = [
-        StealthCandidate((c1, c2), t, u, subs_of[u], scores[u])
-        for u, (c1, c2, t) in first.items()
-    ]
+        logger.warning("dropped %d stealth candidates above union order cap %d",
+                       skipped_large, max_order)
+    layouts = {u: index.union(spec, beliefs, u) for u in first}
+    scores = _union_scores(beliefs, layouts)
+    found = [StealthCandidate((c1, c2), t, u, layouts[u][0], scores[u])
+             for u, (c1, c2, t) in first.items()]
     return sorted(found, key=lambda c: (-c.score, c.union))
 
 
@@ -141,43 +161,100 @@ def _check_max_order(max_order: int) -> None:
         raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
 
 
-def _first_maximisers(beliefs: BeliefState, ts: list[Cluster]) -> dict[Cluster, list[int]]:
-    """The decoded (first flat-index) maximiser of each of the tables
-    ``ts``, as a state per axis: one argmax per table, stacked by shape."""
-    by_shape: dict[tuple[int, ...], list[Cluster]] = {}
-    for t in ts:
-        by_shape.setdefault(beliefs[t].shape, []).append(t)
-    state_of: dict[Cluster, list[int]] = {}
-    for shape, ts in by_shape.items():
-        stack = np.stack([beliefs[t] for t in ts], dtype=np.float64)
-        first = np.unravel_index(stack.reshape(len(ts), -1).argmax(axis=1), shape)
-        state_of.update(zip(ts, np.array(first).T.tolist()))
-    return state_of
+class _SearchIndex:
+    """What the search keeps of a spec, for the table shapes it was built
+    for.  A row is a table's position in :attr:`order`, the support as it
+    grew, up to :attr:`n`: a grown index appends to the shared :attr:`order`,
+    :attr:`shapes` and :attr:`row`.  :attr:`groups` holds the parents
+    (:attr:`sends`) and their rows by shape.  Each :attr:`edges` column is a
+    (parent, proper sub) edge: both rows and where its code table, the cell
+    each parent cell projects to, starts in :attr:`codes`.  :attr:`unions`
+    keeps each union's subs and batch; :attr:`holding` (shared) them by variable."""
+
+    def __init__(self, spec: RelaxationSpec, beliefs: BeliefState):
+        self.order = list(spec.support)
+        self.n = len(self.order)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per shape
+        self.shapes = [shared.setdefault(beliefs[t].shape, beliefs[t].shape) for t in self.order]
+        self.length = dict(zip(chain.from_iterable(self.order), chain.from_iterable(self.shapes)))
+        self.row, self.sends = {t: i for i, t in enumerate(self.order)}, bytearray(len(self.order))
+        self.groups, self.code_at, self.unions, self.batches, self.holding = {}, {}, {}, {}, {}
+        self.codes, self.edges = np.zeros(0, np.intp), np.zeros((3, 0), np.int32)
+        spec._support_index  # unions are scored against it
+        self._extend((c, s) for c in spec.extended_clusters for s in spec.proper_subs_of(c))
+
+    def grown(self, edges: list[tuple[Cluster, Cluster]],
+              new: list[Cluster]) -> "_SearchIndex | None":
+        """This index grown by ``edges`` and the tables ``new``; None if one
+        was grown from it already or a new table has a variable none here has."""
+        if len(self.order) > self.n or not self.length.keys() >= set(chain.from_iterable(new)):
+            return None
+        index = copy(self)
+        index.n = self.n + len(new)
+        self.shapes += (tuple(map(self.length.__getitem__, t)) for t in new)
+        self.order += new
+        self.row.update(zip(new, range(self.n, index.n)))
+        index.sends = self.sends + bytes(len(new))
+        index.groups, index.code_at = dict(self.groups), dict(self.code_at)
+        index.unions = dict(self.unions)
+        for t in new:  # a table new strictly inside a union changes its subs
+            for u in self.holding.get(t[0], ()):
+                if set(t) < set(u):
+                    index.unions.pop(u, None)
+        index._extend(edges)
+        return index
+
+    def _extend(self, edges: Iterable[tuple[Cluster, Cluster]]) -> None:
+        """Add ``edges``, changing only dicts and arrays of this index's own."""
+        codes, size, columns, joined = [self.codes], self.codes.size, [], {}
+        for c, s in edges:
+            i = self.row[c]
+            if not self.sends[i]:
+                self.sends[i] = 1
+                joined.setdefault(self.shapes[i], []).append(c)
+            key = (self.shapes[i], tuple(map(c.index, s)))
+            if key not in self.code_at:  # the gather row of a one-sub template
+                codes.append(_template(key[0], key[1:], 2, {})[0][1])
+                self.code_at[key], size = size, size + codes[-1].size
+            columns += (i, self.row[s], self.code_at[key])
+        for shape, cs in joined.items():
+            ts, rows = self.groups.get(shape, ([], ()))
+            self.groups[shape] = ([*ts, *cs], np.array([*rows, *map(self.row.get, cs)]))
+        self.codes = np.concatenate(codes)
+        self.edges = np.hstack([self.edges, np.array(columns, np.int32).reshape(-1, 3).T])
+
+    def union(self, spec: RelaxationSpec, beliefs: BeliefState, u: Cluster) -> tuple:
+        """``u``'s subs (the support tables strictly inside it) and batch, found once."""
+        if u not in self.unions:
+            subs = _canonical(s for s in _inside(spec._support_index, u) if s != u)
+            axis = {v: i for i, v in enumerate(u)}.__getitem__
+            batch = (len(u), tuple((tuple(map(axis, s)), beliefs[s].shape) for s in subs))
+            self.unions[u] = (subs, self.batches.setdefault(batch, batch))  # one key per batch
+            if u not in self.holding.get(u[0], ()):
+                for v in u:
+                    self.holding.setdefault(v, []).append(u)
+        return self.unions[u]
 
 
-def _union_scores(
-    beliefs: BeliefState, subs_of: dict[Cluster, tuple[Cluster, ...]]
-) -> dict[Cluster, float]:
-    """:func:`~maplp.engine.dual_decrease` of each union with the given
+def _union_scores(beliefs: BeliefState, layouts: dict[Cluster, tuple]) -> dict[Cluster, float]:
+    """:func:`~maplp.engine.dual_decrease` of each union with its
     sub-clusters at a zero union table, in one batch per union order and
     sub layout (each sub's kept axes and table shape): per row, the same
     left-to-right additions of the same tables, since adding to a zero
     first changes no bit.  Every union has a sub-cluster: the one its pair
     shares."""
     batches: dict[tuple, list[Cluster]] = {}
-    for u, subs in subs_of.items():
-        axis = {v: i for i, v in enumerate(u)}.__getitem__
-        layout = tuple((tuple(map(axis, s)), beliefs[s].shape) for s in subs)
-        batches.setdefault((len(u), layout), []).append(u)
+    for u, (_, batch) in layouts.items():
+        batches.setdefault(batch, []).append(u)
     scores: dict[Cluster, float] = {}
     for (_, layout), unions in batches.items():
         n, u = len(unions), unions[0]
         separate = np.zeros(n)
         joint = None
         for i in range(len(layout)):
-            bs = np.stack([beliefs[subs_of[v][i]] for v in unions], dtype=np.float64)
+            bs = np.array([beliefs[layouts[v][0][i]] for v in unions], dtype=np.float64)
             separate += bs.reshape(n, -1).max(axis=1)
-            piece = bs[(slice(None), *_embed_index(subs_of[u][i], u))]
+            piece = bs[(slice(None), *_embed_index(layouts[u][0][i], u))]
             joint = piece.copy() if joint is None else joint + piece
         scores.update(zip(unions, (separate - joint.reshape(n, -1).max(axis=1)).tolist()))
     return scores
@@ -216,9 +293,8 @@ def run_with_pursuit(
 
     The graph is validated once, before the first sweep, as in :func:`run`,
     and ``max_order`` must be an integer >= 1 (``ValueError``).  In belief
-    mode the compiled sweep is kept across rounds and grows with the
-    appended unions; it is compiled again only when an existing extended
-    cluster gains sub-clusters.  Message mode rebuilds its state each round.
+    mode the compiled sweep is kept across rounds and grows with the spec,
+    so it is compiled once.  Message mode rebuilds its state each round.
     """
     _check_model(graph)
     _check_max_order(max_order)

@@ -44,8 +44,9 @@ class RelaxationSpec:
     tuples are stored in canonical (size, lexicographic) order.  ``support``
     is derived, never stored in a field: it, its incidence and sender
     indexes and the proper sub-clusters of each extended cluster are
-    computed once per spec, outside the fields ``==`` compares; a grown
-    spec (:meth:`with_clusters`) extends all but the sender index.
+    computed once per spec, outside the fields ``==`` compares, as is the
+    index of :mod:`maplp.pursuit` (``_search``); a grown spec
+    (:meth:`with_clusters`) extends those its parent built.
     """
 
     extended_clusters: tuple[Cluster, ...]
@@ -114,14 +115,25 @@ class RelaxationSpec:
         object.__setattr__(spec, "sub_clusters", subs)
         object.__setattr__(spec, "_proper", proper)
         if "_support_index" in self.__dict__:
-            # The parent's support order and index, with the clusters new to
-            # the support inserted.
-            support, index = list(self.support), dict(self._support_index)
+            # The parent's support and indexes, grown by what the additions bring.
+            support, index, new = list(self.support), dict(self._support_index), []
             for t in dict.fromkeys(chain.from_iterable((c, *subs[c]) for c in additions)):
                 if t not in index.get(t[0], ()):
                     insort(support, t, key=_size_lex)
                     index[t[0]] = [*index.get(t[0], ()), t]
+                    new.append(t)
             spec.__dict__.update(support=tuple(support), _support_index=index)
+            edges = [(c, s) for c in additions for s in spec.proper_subs_of(c)
+                     if s not in self.proper_subs_of(c)]
+            if "_senders" in self.__dict__:
+                senders = {**self._senders, **{t: [] for t in new}}
+                for c, s in edges:
+                    senders[s] = [*senders[s], c]
+                    if c in self.sub_clusters:  # an earlier cluster: back to sweep order
+                        senders[s].sort(key=spec.extended_clusters.index)
+                spec.__dict__["_senders"] = dict(zip(spec.support, map(senders.get, spec.support)))
+            if self.__dict__.get("_search") is not None:
+                spec.__dict__["_search"] = self._search.grown(edges, new)
         return spec
 
 

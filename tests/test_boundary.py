@@ -31,6 +31,9 @@ ENTRY_POINTS = {
     "update_cluster_beliefs": lambda g, spec, b: update_cluster_beliefs(b, PAIR, spec.subs_of(PAIR)),
     "dual_decrease": lambda g, spec, b: dual_decrease(b, PAIR, spec.subs_of(PAIR)),
     "stealth_candidates": lambda g, spec, b: stealth_candidates(spec, b),
+    # The search keeps an index with the spec, built here on good tables.
+    "stealth_candidates (index built)": lambda g, spec, b: (
+        stealth_candidates(spec, init_beliefs(g, spec)), stealth_candidates(spec, b)),
 }
 
 CASES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "missing": None, "mis-shaped": None}

@@ -4,9 +4,9 @@ round.
 ``reference_pursuit`` re-runs the outer loop of ``run_with_pursuit`` with
 public ``run`` on each round's spec, from a copy of the warm beliefs, so
 every round packs and compiles its spec from scratch.  ``run_with_pursuit``
-keeps its packed tables and compiled sweep across rounds and grows them;
-every round must agree bit for bit, and a full compile may happen only on
-the first round and where an existing extended cluster gains sub-clusters.
+keeps its packed tables and compiled sweep across rounds and grows them,
+also in rounds where an existing extended cluster gains sub-clusters; every
+round must agree bit for bit, and only the first round compiles in full.
 """
 
 import hashlib
@@ -18,6 +18,7 @@ import maplp.engine as engine
 import maplp.pursuit as pursuit
 from maplp import (
     FactorGraph,
+    RelaxationSpec,
     SolverParams,
     XorShift64Star,
     dd_spec,
@@ -128,20 +129,20 @@ def test_hundred_cycles_match_full_compiles(monkeypatch):
     graph = cycle_union([frustrated_cycle(master.next_u64()) for _ in range(100)])
     compiles, gained, closed = checked_pursuit(monkeypatch, graph, CYCLE_PARAMS)
     assert closed and gained == 2
-    assert compiles == 1 + gained <= 4
+    assert compiles == 1
 
 
 def test_ten_cycles_match_full_compiles(monkeypatch):
     graph = cycle_union([frustrated_cycle(seed) for seed in range(10)])
     compiles, gained, closed = checked_pursuit(monkeypatch, graph, CYCLE_PARAMS)
-    assert closed and compiles == 1 + gained
+    assert closed and compiles == 1
 
 
 def test_grid_matches_full_compiles(monkeypatch):
     params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
     compiles, gained, closed = checked_pursuit(monkeypatch, random_grid(6, 6, 3, 0), params)
     assert closed and gained == 1
-    assert compiles == 2
+    assert compiles == 1
 
 
 def test_message_mode_pursuit_trace_unchanged():
@@ -177,21 +178,23 @@ def fresh_senders(spec):
 
 
 def test_sender_index_matches_fresh_build_every_round(monkeypatch):
-    """Each round's spec builds its own sender index on first use (a grown
-    spec does not carry its parent's), equal to a fresh one list for list,
-    also after an existing extended cluster gained sub-clusters; the
-    message context reads the same index."""
+    """A spec whose sender index is built hands it on: each round's spec
+    carries the index grown from its parent's, equal to a fresh one list
+    for list, also after an existing extended cluster gained sub-clusters;
+    the message context reads the same index."""
     specs = []
 
     def recording(spec, beliefs, **kwargs):
-        assert (specs and spec is specs[-1]) or "_senders" not in spec.__dict__
+        assert "_senders" in spec.__dict__
         specs.append(spec)
         return stealth_candidates(spec, beliefs, **kwargs)
 
     monkeypatch.setattr(pursuit, "stealth_candidates", recording)
     graph = random_grid(6, 6, 3, 0)
     params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
-    result = run_with_pursuit(graph, dd_spec(graph), params)
+    spec = dd_spec(graph)
+    spec._senders  # message mode builds it; the candidate search does not
+    result = run_with_pursuit(graph, spec, params)
     specs.append(result.spec)
     gained = sum(
         any(spec.subs_of(c) != before.subs_of(c) for c in before.extended_clusters)
@@ -202,3 +205,82 @@ def test_sender_index_matches_fresh_build_every_round(monkeypatch):
         assert spec._senders == fresh_senders(spec)
         assert list(spec._senders) == list(spec.support)
         assert engine._MessageContext(graph, spec).senders is spec._senders
+
+
+def checked_kept_index(monkeypatch, graph, params):
+    """Runs pursuit, checking the search on every round's spec, which
+    carries the index grown from its parent's, and on the final spec
+    against the search on a fresh spec with the same clusters; then asks
+    every parent again.  Returns the number of specs in which an existing
+    extended cluster gained sub-clusters."""
+    rounds = []
+
+    def checked(spec, beliefs, **kwargs):
+        assert not rounds or "_search" in spec.__dict__
+        got = stealth_candidates(spec, beliefs, **kwargs)
+        fresh = RelaxationSpec(spec.extended_clusters, spec.sub_clusters)
+        assert got == stealth_candidates(fresh, beliefs, **kwargs)
+        rounds.append((spec, copied(beliefs), got))
+        return got
+
+    monkeypatch.setattr(pursuit, "stealth_candidates", checked)
+    result = run_with_pursuit(graph, dd_spec(graph), params)
+    if result.spec is not rounds[-1][0]:
+        checked(result.spec, result.beliefs)
+    monkeypatch.undo()
+    assert len(rounds) >= 3
+    for spec, beliefs, got in rounds:
+        assert stealth_candidates(spec, beliefs) == got
+    return sum(
+        any(spec.subs_of(c) != before.subs_of(c) for c in before.extended_clusters)
+        for (before, _, _), (spec, _, _) in zip(rounds, rounds[1:])
+    )
+
+
+def test_kept_index_matches_fresh_search_on_cycles(monkeypatch):
+    master = XorShift64Star(3)
+    graph = cycle_union([frustrated_cycle(master.next_u64()) for _ in range(100)])
+    assert checked_kept_index(monkeypatch, graph, CYCLE_PARAMS) == 2
+    graph = cycle_union([frustrated_cycle(seed) for seed in range(10)])
+    checked_kept_index(monkeypatch, graph, CYCLE_PARAMS)
+
+
+def test_kept_index_matches_fresh_search_on_grids(monkeypatch):
+    params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
+    gained = [checked_kept_index(monkeypatch, random_grid(6, 6, 3, seed), params)
+              for seed in range(3)]
+    assert gained[0] == 1
+
+
+def test_kept_index_follows_new_table_shapes():
+    """A spec searched once, then searched with tables of other consistent
+    shapes, answers as a fresh spec does."""
+    spec = dd_spec(random_grid(3, 3, 2, 0))
+    for states in (2, 3, 2):
+        graph = random_grid(3, 3, states, 1)
+        beliefs = run(graph, spec, SolverParams(max_sweeps=5)).beliefs
+        fresh = RelaxationSpec(spec.extended_clusters, spec.sub_clusters)
+        assert stealth_candidates(spec, beliefs) == stealth_candidates(fresh, beliefs)
+        assert spec._search.shapes[-1] == (states,) * 4
+
+
+def test_sibling_and_new_variable_build_their_own_index():
+    """Only the first spec grown from a searched spec takes over its index;
+    a second one, or one adding a variable no table had, builds its own on
+    first use.  All of them, and the parent, answer as fresh specs do."""
+    graph = random_grid(4, 4, 2, 0)
+    spec = dd_spec(graph)
+    beliefs = run(graph, spec, SolverParams(max_sweeps=20)).beliefs
+    before = stealth_candidates(spec, beliefs)
+    a, b = before[:2]
+    first = spec.with_clusters({a.union: a.sub_clusters})
+    second = spec.with_clusters({b.union: b.sub_clusters})
+    assert first.__dict__.get("_search") is not None
+    assert second.__dict__.get("_search") is None
+    assert second.with_clusters({a.union: a.sub_clusters}).__dict__.get("_search") is None
+    assert spec.with_clusters({(15, 16): [(15,)]}).__dict__.get("_search") is None
+    for grown, c in ((first, a), (second, b)):
+        tables = {**beliefs, c.union: np.zeros(table_shape(c.union, graph.cardinalities))}
+        fresh = RelaxationSpec(grown.extended_clusters, grown.sub_clusters)
+        assert stealth_candidates(grown, tables) == stealth_candidates(fresh, tables)
+    assert stealth_candidates(spec, beliefs) == before

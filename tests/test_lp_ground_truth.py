@@ -24,6 +24,7 @@ from maplp import (
     random_grid,
     redundant_nodes,
     reduce_edges,
+    relaxation_from_diagram,
     remove_node,
     run,
     table_cells,
@@ -93,3 +94,20 @@ def test_gmplp_lp_optimum_on_the_4x4_grid_is_the_map():
     optimum = lp_optimum(diagram_from_relaxation(gmplp_spec(graph), graph.clusters), graph)
     assert optimum == pytest.approx(18.992011, abs=1e-6)
     assert optimum == pytest.approx(brute_force_map(graph).value, abs=1e-7)
+
+
+@pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_round_trip_keeps_support_and_optimum(name, builder):
+    """A diagram turned back into a relaxation keeps every node, also one
+    with no edge (the chain's ``(2,)`` under ``cycle_spec``), so it keeps
+    the LP optimum and solves."""
+    graph = GRAPHS[name]()
+    spec = builder(graph)
+    d = diagram_from_relaxation(spec, graph.clusters)
+    back = relaxation_from_diagram(d)
+    assert back.support == spec.support
+    optimum = lp_optimum(d, graph)
+    assert lp_optimum(diagram_from_relaxation(back, graph.clusters), graph) == pytest.approx(
+        optimum, abs=1e-7)
+    assert run(graph, back).dual >= optimum - 1e-9
