@@ -663,12 +663,13 @@ def _parts(batches: Mapping[tuple, list[Cluster]]) -> list[dict[tuple, list[Clus
 class _Sweep:
     """The compiled belief-mode sweep of a spec over a stored state:
     :attr:`steps` holds, per level, the :class:`_Level` parts that run it.
-    :meth:`prepare` compiles it for a new state.  For a spec grown from the
-    last one over the same state, it stores the new tables and rebuilds the
-    steps of the levels whose batches changed, which leaves a full
-    compile's steps.  Parts keep their index maps and scale while
-    :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt level gives
-    its kept cells back."""
+    :meth:`prepare` compiles it for a new state, or for a spec that drops a
+    cluster or sub of the last one.  For a spec grown from the last one
+    over the same state, it stores the new tables and rebuilds the steps of
+    the levels whose batches changed, which leaves a full compile's steps.
+    Parts keep their index maps and scale while :attr:`kept_cells` stays
+    within ``_KEPT_CELLS``; a rebuilt or dropped level gives its kept cells
+    back."""
 
     def __init__(self, cardinalities: Sequence[int]):
         self.cardinalities = cardinalities
@@ -676,20 +677,22 @@ class _Sweep:
         self.state: BeliefState | None = None
 
     def prepare(self, spec: RelaxationSpec, state: BeliefState) -> None:
-        old, previous = self.spec, None
-        if state is not self.state:
-            clusters = spec.extended_clusters
-            self._compile(state)
+        old, previous, clusters = self.spec, None, spec.extended_clusters
+        grows = state is self.state
+        if grows and (spec.extended_clusters[:len(old.extended_clusters)] == old.extended_clusters
+                      and old.sub_clusters.items() <= spec.sub_clusters.items()):
+            clusters = clusters[len(old.extended_clusters):]
+        elif grows and all(c in spec.sub_clusters and set(ss) <= set(spec.sub_clusters[c])
+                           for c, ss in old.sub_clusters.items()):
+            # Every old cluster and sub kept: schedule afresh, and keep the
+            # levels whose batches are unchanged.
+            previous, self.levels, self.batches = self.batches, {}, {}
         else:
+            grows = False
+            self._compile(state)
+        if grows:
             new, moved = self.store.grow(state)
             self.store.bind(state, list(self.store.where) if moved else new)
-            n = len(old.extended_clusters)
-            if (spec.extended_clusters[:n] == old.extended_clusters
-                    and old.sub_clusters.items() <= spec.sub_clusters.items()):
-                clusters = spec.extended_clusters[n:]
-            else:  # schedule afresh; keep the levels whose batches are unchanged
-                clusters, previous = spec.extended_clusters, self.batches
-                self.levels, self.batches = {}, {}
         changed = _schedule(spec, clusters, self.cardinalities, self.levels, self.batches)
         if previous is not None:
             changed = {level for level in changed if list(self.batches[level].items())
@@ -704,6 +707,9 @@ class _Sweep:
                     p.kept = p.maps()
                     self.kept_cells += p.map_cells
             self.steps[level - 1:level] = [parts]
+        for parts in self.steps[len(self.batches):]:  # levels a fresh schedule no longer has
+            self.kept_cells -= sum(p.map_cells for p in parts if p.kept)
+        del self.steps[len(self.batches):]
         self.spec, self.state = spec, state
 
     def _compile(self, state: BeliefState) -> None:

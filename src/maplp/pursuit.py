@@ -25,7 +25,7 @@ import time
 from collections import defaultdict
 from copy import copy
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from numbers import Integral
 from operator import attrgetter, eq
 from typing import Iterable
@@ -103,11 +103,11 @@ def stealth_candidates(
     _check_support(beliefs, spec.support)
     index = spec.__dict__.get("_search")
     if index is None or not all(map(eq, map(attrgetter("shape"), map(
-            beliefs.__getitem__, islice(index.order, index.n))), index.shapes)):
+            beliefs.__getitem__, index.order)), index.shapes)):
         _check_shapes(beliefs, spec.support)
         index = spec.__dict__["_search"] = _SearchIndex(spec, beliefs)
     # One pass over every support table, read or not.
-    tables = list(map(beliefs.__getitem__, islice(index.order, index.n)))
+    tables = list(map(beliefs.__getitem__, index.order))
     if not np.isfinite(np.concatenate(tables, axis=None)).all():
         bad = [t for t in spec.support if not np.isfinite(beliefs[t]).all()]
         raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
@@ -164,16 +164,16 @@ def _check_max_order(max_order: int) -> None:
 class _SearchIndex:
     """What the search keeps of a spec, for the table shapes it was built
     for.  A row is a table's position in :attr:`order`, the support as it
-    grew, up to :attr:`n`: a grown index appends to the shared :attr:`order`,
-    :attr:`shapes` and :attr:`row`.  :attr:`groups` holds the parents
-    (:attr:`sends`) and their rows by shape.  Each :attr:`edges` column is a
-    (parent, proper sub) edge: both rows and where its code table, the cell
-    each parent cell projects to, starts in :attr:`codes`.  :attr:`unions`
-    keeps each union's subs and batch; :attr:`holding` (shared) them by variable."""
+    grew.  :attr:`groups` holds the parents (:attr:`sends`) and their rows
+    by shape.  Each :attr:`edges` column is a (parent, proper sub) edge:
+    both rows and where its code table, the cell each parent cell projects
+    to, starts in :attr:`codes`.  :attr:`unions` keeps each union's subs
+    and batch.  A grown index copies what it changes; it shares
+    :attr:`length`, never changed, and :attr:`holding`, the cached unions
+    by variable, which only grows, so it holds every index's unions."""
 
     def __init__(self, spec: RelaxationSpec, beliefs: BeliefState):
         self.order = list(spec.support)
-        self.n = len(self.order)
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per shape
         self.shapes = [shared.setdefault(beliefs[t].shape, beliefs[t].shape) for t in self.order]
         self.length = dict(zip(chain.from_iterable(self.order), chain.from_iterable(self.shapes)))
@@ -183,17 +183,14 @@ class _SearchIndex:
         spec._support_index  # unions are scored against it
         self._extend((c, s) for c in spec.extended_clusters for s in spec.proper_subs_of(c))
 
-    def grown(self, edges: list[tuple[Cluster, Cluster]],
-              new: list[Cluster]) -> "_SearchIndex | None":
-        """This index grown by ``edges`` and the tables ``new``; None if one
-        was grown from it already or a new table has a variable none here has."""
-        if len(self.order) > self.n or not self.length.keys() >= set(chain.from_iterable(new)):
-            return None
+    def grown(self, edges: list[tuple[Cluster, Cluster]], new: list[Cluster]) -> "_SearchIndex":
+        """This index grown by ``edges`` and the tables ``new``.  A variable
+        no table had has no length, so a table holding it records a shape no
+        table has: its edges wait for the rebuild the next call's check makes."""
         index = copy(self)
-        index.n = self.n + len(new)
-        self.shapes += (tuple(map(self.length.__getitem__, t)) for t in new)
-        self.order += new
-        self.row.update(zip(new, range(self.n, index.n)))
+        index.order = [*self.order, *new]
+        index.shapes = [*self.shapes, *(tuple(map(self.length.get, t)) for t in new)]
+        index.row = {**self.row, **dict(zip(new, range(len(self.order), len(index.order))))}
         index.sends = self.sends + bytes(len(new))
         index.groups, index.code_at = dict(self.groups), dict(self.code_at)
         index.unions = dict(self.unions)
@@ -209,6 +206,8 @@ class _SearchIndex:
         codes, size, columns, joined = [self.codes], self.codes.size, [], {}
         for c, s in edges:
             i = self.row[c]
+            if None in self.shapes[i]:
+                continue
             if not self.sends[i]:
                 self.sends[i] = 1
                 joined.setdefault(self.shapes[i], []).append(c)

@@ -46,7 +46,8 @@ class RelaxationSpec:
     indexes and the proper sub-clusters of each extended cluster are
     computed once per spec, outside the fields ``==`` compares, as is the
     index of :mod:`maplp.pursuit` (``_search``); a grown spec
-    (:meth:`with_clusters`) extends those its parent built.
+    (:meth:`with_clusters`) extends those its parent built, all but the
+    sender index.
     """
 
     extended_clusters: tuple[Cluster, ...]
@@ -123,16 +124,9 @@ class RelaxationSpec:
                     index[t[0]] = [*index.get(t[0], ()), t]
                     new.append(t)
             spec.__dict__.update(support=tuple(support), _support_index=index)
-            edges = [(c, s) for c in additions for s in spec.proper_subs_of(c)
-                     if s not in self.proper_subs_of(c)]
-            if "_senders" in self.__dict__:
-                senders = {**self._senders, **{t: [] for t in new}}
-                for c, s in edges:
-                    senders[s] = [*senders[s], c]
-                    if c in self.sub_clusters:  # an earlier cluster: back to sweep order
-                        senders[s].sort(key=spec.extended_clusters.index)
-                spec.__dict__["_senders"] = dict(zip(spec.support, map(senders.get, spec.support)))
-            if self.__dict__.get("_search") is not None:
+            if "_search" in self.__dict__:
+                edges = [(c, s) for c in additions for s in spec.proper_subs_of(c)
+                         if s not in self.proper_subs_of(c)]
                 spec.__dict__["_search"] = self._search.grown(edges, new)
         return spec
 

@@ -178,23 +178,21 @@ def fresh_senders(spec):
 
 
 def test_sender_index_matches_fresh_build_every_round(monkeypatch):
-    """A spec whose sender index is built hands it on: each round's spec
-    carries the index grown from its parent's, equal to a fresh one list
-    for list, also after an existing extended cluster gained sub-clusters;
-    the message context reads the same index."""
+    """Each round's spec builds its own sender index on first use (a grown
+    spec does not carry its parent's), equal to a fresh one list for list,
+    also after an existing extended cluster gained sub-clusters; the
+    message context reads the same index."""
     specs = []
 
     def recording(spec, beliefs, **kwargs):
-        assert "_senders" in spec.__dict__
+        assert (specs and spec is specs[-1]) or "_senders" not in spec.__dict__
         specs.append(spec)
         return stealth_candidates(spec, beliefs, **kwargs)
 
     monkeypatch.setattr(pursuit, "stealth_candidates", recording)
     graph = random_grid(6, 6, 3, 0)
     params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
-    spec = dd_spec(graph)
-    spec._senders  # message mode builds it; the candidate search does not
-    result = run_with_pursuit(graph, spec, params)
+    result = run_with_pursuit(graph, dd_spec(graph), params)
     specs.append(result.spec)
     gained = sum(
         any(spec.subs_of(c) != before.subs_of(c) for c in before.extended_clusters)
@@ -205,6 +203,7 @@ def test_sender_index_matches_fresh_build_every_round(monkeypatch):
         assert spec._senders == fresh_senders(spec)
         assert list(spec._senders) == list(spec.support)
         assert engine._MessageContext(graph, spec).senders is spec._senders
+
 
 
 def checked_kept_index(monkeypatch, graph, params):
@@ -264,23 +263,51 @@ def test_kept_index_follows_new_table_shapes():
         assert spec._search.shapes[-1] == (states,) * 4
 
 
-def test_sibling_and_new_variable_build_their_own_index():
-    """Only the first spec grown from a searched spec takes over its index;
-    a second one, or one adding a variable no table had, builds its own on
-    first use.  All of them, and the parent, answer as fresh specs do."""
+def test_siblings_and_new_variables_answer_as_fresh_specs():
+    """Two specs grown from one searched spec, one grown from the second and
+    one adding a variable no table had each carry a grown index and answer
+    as fresh specs do; so does the parent afterwards."""
     graph = random_grid(4, 4, 2, 0)
     spec = dd_spec(graph)
     beliefs = run(graph, spec, SolverParams(max_sweeps=20)).beliefs
     before = stealth_candidates(spec, beliefs)
     a, b = before[:2]
-    first = spec.with_clusters({a.union: a.sub_clusters})
     second = spec.with_clusters({b.union: b.sub_clusters})
-    assert first.__dict__.get("_search") is not None
-    assert second.__dict__.get("_search") is None
-    assert second.with_clusters({a.union: a.sub_clusters}).__dict__.get("_search") is None
-    assert spec.with_clusters({(15, 16): [(15,)]}).__dict__.get("_search") is None
-    for grown, c in ((first, a), (second, b)):
-        tables = {**beliefs, c.union: np.zeros(table_shape(c.union, graph.cardinalities))}
-        fresh = RelaxationSpec(grown.extended_clusters, grown.sub_clusters)
-        assert stealth_candidates(grown, tables) == stealth_candidates(fresh, tables)
+    grown = [(spec.with_clusters({a.union: a.sub_clusters}), (a.union,)), (second, (b.union,)),
+             (second.with_clusters({a.union: a.sub_clusters}), (a.union, b.union)),
+             (spec.with_clusters({(15, 16): [(15,)]}), ((15, 16),))]
+    for child, unions in grown:
+        assert child.__dict__.get("_search") is not None
+        tables = {**beliefs, **{u: np.zeros([2] * len(u)) for u in unions}}
+        fresh = RelaxationSpec(child.extended_clusters, child.sub_clusters)
+        assert stealth_candidates(child, tables) == stealth_candidates(fresh, tables)
     assert stealth_candidates(spec, beliefs) == before
+
+
+def test_kept_sweep_compiles_for_a_spec_that_drops_clusters(monkeypatch):
+    """A kept sweep given a spec without some clusters of the last one over
+    the same state compiles, so no level of the dropped clusters stays: it
+    runs as a sweep compiled for that spec alone."""
+    graph = random_grid(6, 6, 3, 0)
+    spec = dd_spec(graph)
+    state = run(graph, spec, SolverParams(max_sweeps=30)).beliefs
+    chosen = stealth_candidates(spec, state)[:10]
+    for c in chosen:
+        state[c.union] = np.zeros(table_shape(c.union, graph.cardinalities))
+    grown = spec.with_clusters({c.union: c.sub_clusters for c in chosen})
+    twin = copied(state)
+    sweep, fresh = engine._Sweep(graph.cardinalities), engine._Sweep(graph.cardinalities)
+    sweep.prepare(grown, state)
+    levels = len(sweep.steps)
+    compiles = []
+    compile_ = engine._Sweep._compile
+    monkeypatch.setattr(engine._Sweep, "_compile",
+                        lambda self, state: compiles.append(state) or compile_(self, state))
+    sweep.prepare(spec, state)
+    fresh.prepare(spec, twin)
+    assert compiles == [state, twin]
+    assert len(sweep.steps) == len(fresh.steps) < levels
+    params = SolverParams(max_sweeps=10)
+    got = engine._run(graph, spec, params, beliefs=state, sweep=sweep)
+    want = engine._run(graph, spec, params, beliefs=twin, sweep=fresh)
+    assert got.trace.duals == want.trace.duals and got.assignment == want.assignment
