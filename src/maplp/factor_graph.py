@@ -40,20 +40,6 @@ class InvalidModelError(ValueError):
     """A model or a table handed to the solver breaks its invariants."""
 
 
-def as_cluster(variables: Iterable[int]) -> Cluster:
-    """Normalise an iterable of variable indices into a cluster tuple.
-
-    Sorts ascending and rejects empty or duplicated scopes.
-    """
-    vs = tuple(sorted(int(v) for v in variables))
-    if not vs:
-        raise ValueError("cluster scope must be nonempty")
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise ValueError(f"cluster scope has repeated variable {a}")
-    return vs
-
-
 def table_shape(cluster: Cluster, cardinalities: Sequence[int]) -> tuple[int, ...]:
     return tuple(cardinalities[i] for i in cluster)
 
@@ -150,21 +136,6 @@ class FactorGraph:
             f"FactorGraph(num_vars={self.num_vars}, "
             f"num_clusters={len(self.potentials)})"
         )
-
-
-def restrict(states: Sequence[int], sub: Cluster, scope: Cluster | None = None) -> tuple[int, ...]:
-    """Project an assignment (or sub-assignment over ``scope``) onto ``sub``.
-
-    ``scope`` defaults to the full variable range of ``states``; the result is
-    ordered by the sorted scope of ``sub``.
-    """
-    if scope is None:
-        scope = tuple(range(len(states)))
-    pos = {v: i for i, v in enumerate(scope)}
-    missing = [v for v in sub if v not in pos]
-    if missing:
-        raise ValueError(f"variables {missing} are not in scope {scope}")
-    return tuple(states[pos[v]] for v in sub)
 
 
 def energy(graph: FactorGraph, x: Sequence[int]) -> float:

@@ -79,7 +79,10 @@ class _Tokens:
 
 
 def parse_uai(text: str, zero_floor: float = DEFAULT_ZERO_FLOOR) -> FactorGraph:
-    """Parse a UAI MARKOV model into a log-domain factor graph."""
+    """Parse a UAI MARKOV model into a log-domain factor graph.  Raises
+    ``ValueError`` unless ``zero_floor`` is finite and > 0."""
+    if not (math.isfinite(zero_floor) and zero_floor > 0):
+        raise ValueError(f"zero_floor must be finite and > 0, got {zero_floor!r}")
     toks = _Tokens(text)
     header, line = toks.next("network type")
     if header != "MARKOV":

@@ -10,12 +10,14 @@ single block update of the union would achieve from its zero table
 (:func:`maplp.engine.dual_decrease`), and the best few are added per round.
 
 What a round costs.  The candidate search is batched over the current
-beliefs (Sontag, Choe & Li, UAI 2012) through an index kept with the spec
-and grown by ``with_clusters``: one argmax per shape of parents, one gather
-projecting every edge, and a Python pair loop only over the tables whose
-senders disagree, with common parents taken from the same edges; each
-union's sub-clusters and scoring layout are found once.  The solve grows
-its kept sweep (:mod:`maplp.engine`), also when a cluster gains subs.
+beliefs (Sontag, Choe & Li, UAI 2012) through an index it keeps with the
+spec it searched: one argmax per shape of parents, one gather projecting
+every edge, and a Python pair loop only over the tables whose senders
+disagree, with common parents taken from the same edges; each union's
+sub-clusters and scoring layout are found once.  :func:`run_with_pursuit`
+moves the index to each round's spec and grows it in place by the unions
+and edges the round adds.  The solve grows its kept sweep
+(:mod:`maplp.engine`), also when a cluster gains subs.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from __future__ import annotations
 import logging
 import time
 from collections import defaultdict
-from copy import copy
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from itertools import combinations
 from numbers import Integral
 from operator import attrgetter, eq
 from typing import Iterable
@@ -87,9 +88,10 @@ def stealth_candidates(
     its first pair; results are sorted by descending score, then
     lexicographic union.
 
-    The search is batched over an index kept with the spec and grown with
-    it: one argmax per shape of parents, one gather projecting every edge,
-    and a pair loop over the tables whose senders disagree.  Unions are
+    The search is batched over an index kept with the spec (built on the
+    first call, or handed on and grown by :func:`run_with_pursuit`): one
+    argmax per shape of parents, one gather projecting every edge, and a
+    pair loop over the tables whose senders disagree.  Unions are
     scored in one numpy update per union order and sub-cluster layout, with
     the float operations of :func:`~maplp.engine.dual_decrease` on a zero
     union table, so scores are bit-identical to it.  Raises ``ValueError``
@@ -149,7 +151,7 @@ def stealth_candidates(
     if skipped_large:
         logger.warning("dropped %d stealth candidates above union order cap %d",
                        skipped_large, max_order)
-    layouts = {u: index.union(spec, beliefs, u) for u in first}
+    layouts = {u: index.union(beliefs, u) for u in first}
     scores = _union_scores(beliefs, layouts)
     found = [StealthCandidate((c1, c2), t, u, layouts[u][0], scores[u])
              for u, (c1, c2, t) in first.items()]
@@ -164,50 +166,47 @@ def _check_max_order(max_order: int) -> None:
 class _SearchIndex:
     """What the search keeps of a spec, for the table shapes it was built
     for.  A row is a table's position in :attr:`order`, the support as it
-    grew.  :attr:`groups` holds the parents (:attr:`sends`) and their rows
-    by shape.  Each :attr:`edges` column is a (parent, proper sub) edge:
-    both rows and where its code table, the cell each parent cell projects
-    to, starts in :attr:`codes`.  :attr:`unions` keeps each union's subs
-    and batch.  A grown index copies what it changes; it shares
-    :attr:`length`, never changed, and :attr:`holding`, the cached unions
-    by variable, which only grows, so it holds every index's unions."""
+    grew; :attr:`first` holds the support tables by smallest variable.
+    :attr:`groups` holds the parents (:attr:`sends`) and their rows by
+    shape.  Each :attr:`edges` column is a (parent, proper sub) edge: both
+    rows and where its code table, the cell each parent cell projects to,
+    starts in :attr:`codes`.  :attr:`unions` keeps each union's subs and
+    batch, and :attr:`holding` the cached unions by variable.  Pursuit
+    moves the index from spec to spec and grows it in place, so one spec
+    holds it at a time."""
 
     def __init__(self, spec: RelaxationSpec, beliefs: BeliefState):
         self.order = list(spec.support)
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per shape
         self.shapes = [shared.setdefault(beliefs[t].shape, beliefs[t].shape) for t in self.order]
-        self.length = dict(zip(chain.from_iterable(self.order), chain.from_iterable(self.shapes)))
         self.row, self.sends = {t: i for i, t in enumerate(self.order)}, bytearray(len(self.order))
+        self.first: dict[int, list[Cluster]] = {}
+        for t in self.order:
+            self.first.setdefault(t[0], []).append(t)
         self.groups, self.code_at, self.unions, self.batches, self.holding = {}, {}, {}, {}, {}
         self.codes, self.edges = np.zeros(0, np.intp), np.zeros((3, 0), np.int32)
-        spec._support_index  # unions are scored against it
         self._extend((c, s) for c in spec.extended_clusters for s in spec.proper_subs_of(c))
 
-    def grown(self, edges: list[tuple[Cluster, Cluster]], new: list[Cluster]) -> "_SearchIndex":
-        """This index grown by ``edges`` and the tables ``new``.  A variable
-        no table had has no length, so a table holding it records a shape no
-        table has: its edges wait for the rebuild the next call's check makes."""
-        index = copy(self)
-        index.order = [*self.order, *new]
-        index.shapes = [*self.shapes, *(tuple(map(self.length.get, t)) for t in new)]
-        index.row = {**self.row, **dict(zip(new, range(len(self.order), len(index.order))))}
-        index.sends = self.sends + bytes(len(new))
-        index.groups, index.code_at = dict(self.groups), dict(self.code_at)
-        index.unions = dict(self.unions)
-        for t in new:  # a table new strictly inside a union changes its subs
-            for u in self.holding.get(t[0], ()):
-                if set(t) < set(u):
-                    index.unions.pop(u, None)
-        index._extend(edges)
-        return index
+    def grow(self, edges: list[tuple[Cluster, Cluster]], new: list[Cluster],
+             beliefs: BeliefState) -> None:
+        """Add the support tables ``new``, with their shapes in ``beliefs``,
+        and the (parent, proper sub) ``edges``."""
+        for t in new:
+            self.row[t] = len(self.order)
+            self.order.append(t)
+            self.shapes.append(beliefs[t].shape)
+            self.sends.append(0)
+            self.first.setdefault(t[0], []).append(t)
+            for u in self.holding.get(t[0], ()):  # a table new strictly inside
+                if set(t) < set(u):               # a union changes its subs
+                    self.unions.pop(u, None)
+        self._extend(edges)
 
     def _extend(self, edges: Iterable[tuple[Cluster, Cluster]]) -> None:
-        """Add ``edges``, changing only dicts and arrays of this index's own."""
+        """Add ``edges``, joining each new parent to its shape's group."""
         codes, size, columns, joined = [self.codes], self.codes.size, [], {}
         for c, s in edges:
             i = self.row[c]
-            if None in self.shapes[i]:
-                continue
             if not self.sends[i]:
                 self.sends[i] = 1
                 joined.setdefault(self.shapes[i], []).append(c)
@@ -222,10 +221,10 @@ class _SearchIndex:
         self.codes = np.concatenate(codes)
         self.edges = np.hstack([self.edges, np.array(columns, np.int32).reshape(-1, 3).T])
 
-    def union(self, spec: RelaxationSpec, beliefs: BeliefState, u: Cluster) -> tuple:
+    def union(self, beliefs: BeliefState, u: Cluster) -> tuple:
         """``u``'s subs (the support tables strictly inside it) and batch, found once."""
         if u not in self.unions:
-            subs = _canonical(s for s in _inside(spec._support_index, u) if s != u)
+            subs = _canonical(s for s in _inside(self.first, u) if s != u)
             axis = {v: i for i, v in enumerate(u)}.__getitem__
             batch = (len(u), tuple((tuple(map(axis, s)), beliefs[s].shape) for s in subs))
             self.unions[u] = (subs, self.batches.setdefault(batch, batch))  # one key per batch
@@ -294,6 +293,7 @@ def run_with_pursuit(
     and ``max_order`` must be an integer >= 1 (``ValueError``).  In belief
     mode the compiled sweep is kept across rounds and grows with the spec,
     so it is compiled once.  Message mode rebuilds its state each round.
+    The candidate-search index moves to each round's spec, grown in place.
     """
     _check_model(graph)
     _check_max_order(max_order)
@@ -351,11 +351,21 @@ def run_with_pursuit(
             rounds += 1
             continue
         chosen = candidates[: params.clusters_per_round]
-        current = current.with_clusters({c.union: c.sub_clusters for c in chosen})
+        previous, current = current, current.with_clusters(
+            {c.union: c.sub_clusters for c in chosen})
         rounds += 1
         for cand in chosen:
             if cand.union not in beliefs:
                 beliefs[cand.union] = np.zeros(table_shape(cand.union, graph.cardinalities))
+        # The search index moves to the new spec, grown by what the round adds.
+        index = previous.__dict__.pop("_search", None)
+        if index is not None:
+            edges = []
+            for c in chosen:
+                old = previous.proper_subs_of(c.union)
+                edges += [(c.union, s) for s in current.proper_subs_of(c.union) if s not in old]
+            index.grow(edges, [c.union for c in chosen if c.union not in index.row], beliefs)
+            current.__dict__["_search"] = index
         if messages is not None:
             fresh = init_messages(current, graph.cardinalities)
             fresh.update(messages)

@@ -17,7 +17,7 @@ clusters that share a variable, not with all pairs of clusters.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -42,12 +42,11 @@ class RelaxationSpec:
 
     ``extended_clusters`` fixes the sweep order of the solver; sub-cluster
     tuples are stored in canonical (size, lexicographic) order.  ``support``
-    is derived, never stored in a field: it, its incidence and sender
-    indexes and the proper sub-clusters of each extended cluster are
-    computed once per spec, outside the fields ``==`` compares, as is the
-    index of :mod:`maplp.pursuit` (``_search``); a grown spec
-    (:meth:`with_clusters`) extends those its parent built, all but the
-    sender index.
+    is derived, never stored in a field: it, its sender index and the
+    proper sub-clusters of each extended cluster are computed once per
+    spec, outside the fields ``==`` compares; a grown spec
+    (:meth:`with_clusters`) extends its parent's support and proper
+    sub-clusters.
     """
 
     extended_clusters: tuple[Cluster, ...]
@@ -81,15 +80,6 @@ class RelaxationSpec:
         return _canonical(seen)
 
     @cached_property
-    def _support_index(self) -> dict[int, list[Cluster]]:
-        """Smallest variable -> the support clusters it starts, the index
-        :func:`_inside` reads."""
-        index: dict[int, list[Cluster]] = {}
-        for t in self.support:
-            index.setdefault(t[0], []).append(t)
-        return index
-
-    @cached_property
     def _senders(self) -> dict[Cluster, list[Cluster]]:
         """Support table -> the extended clusters listing it as a proper
         sub-cluster, in sweep order."""
@@ -115,19 +105,16 @@ class RelaxationSpec:
         object.__setattr__(spec, "extended_clusters", tuple(ext))
         object.__setattr__(spec, "sub_clusters", subs)
         object.__setattr__(spec, "_proper", proper)
-        if "_support_index" in self.__dict__:
-            # The parent's support and indexes, grown by what the additions bring.
-            support, index, new = list(self.support), dict(self._support_index), []
+        if "support" in self.__dict__:
+            # The parent's support, grown by the tables the additions bring;
+            # the parent's extended clusters are in it already.
+            support = list(self.support)
             for t in dict.fromkeys(chain.from_iterable((c, *subs[c]) for c in additions)):
-                if t not in index.get(t[0], ()):
-                    insort(support, t, key=_size_lex)
-                    index[t[0]] = [*index.get(t[0], ()), t]
-                    new.append(t)
-            spec.__dict__.update(support=tuple(support), _support_index=index)
-            if "_search" in self.__dict__:
-                edges = [(c, s) for c in additions for s in spec.proper_subs_of(c)
-                         if s not in self.proper_subs_of(c)]
-                spec.__dict__["_search"] = self._search.grown(edges, new)
+                if t not in self.sub_clusters:
+                    i = bisect_left(support, _size_lex(t), key=_size_lex)
+                    if i == len(support) or support[i] != t:
+                        support.insert(i, t)
+            spec.__dict__["support"] = tuple(support)
         return spec
 
 

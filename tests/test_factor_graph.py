@@ -1,4 +1,4 @@
-"""Model construction, energy, restriction and the grid generator."""
+"""Model construction, energy and the grid generator."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from maplp import (
     InvalidAssignmentError,
     InvalidModelError,
     XorShift64Star,
-    as_cluster,
     brute_force_map,
     dd_spec,
     energy,
     random_grid,
-    restrict,
     run,
     validate,
 )
@@ -65,30 +63,6 @@ class TestEnergy:
         for _ in range(25):
             x = tuple(int(rng.next_u64() % 2) for _ in range(5))
             assert energy(both, x) == pytest.approx(energy(a, x) + energy(b, x), abs=1e-12)
-
-
-class TestRestrict:
-    def test_basic_projection(self):
-        assert restrict((0, 1, 2), (0, 2)) == (0, 2)
-
-    def test_full_scope_is_identity(self):
-        assert restrict((3, 1, 4), (0, 1, 2)) == (3, 1, 4)
-
-    def test_singleton(self):
-        assert restrict((1, 1), (1,)) == (1,)
-
-    def test_not_a_subset_rejected(self):
-        with pytest.raises(ValueError):
-            restrict((0, 1), (2,))
-
-    def test_composition(self):
-        rng = XorShift64Star(7)
-        for _ in range(50):
-            x = tuple(int(rng.next_u64() % 3) for _ in range(6))
-            c = tuple(sorted({int(rng.next_u64() % 6) for _ in range(4)}))
-            inner = [v for v in c if rng.next_u64() % 2]
-            s = tuple(inner) if inner else (c[0],)
-            assert restrict(restrict(x, c), s, scope=c) == restrict(x, s)
 
 
 class TestConstructionAndValidate:
@@ -201,14 +175,3 @@ class TestPrng:
         rng = XorShift64Star(9)
         us = [rng.uniform() for _ in range(1000)]
         assert all(0.0 < u < 1.0 for u in us)
-
-
-class TestClusterHelper:
-    def test_sorts(self):
-        assert as_cluster([3, 1, 2]) == (1, 2, 3)
-
-    def test_rejects_duplicates_and_empty(self):
-        with pytest.raises(ValueError):
-            as_cluster([1, 1])
-        with pytest.raises(ValueError):
-            as_cluster([])

@@ -105,11 +105,11 @@ def checked_pursuit(monkeypatch, graph, params, search=stealth_candidates):
     assert result.spec == spec and result.assignment == assignment
     for t, table in tables.items():
         assert np.array_equal(result.beliefs[t], table), t
-    # Every table is still a view into the one pack of its shape, also after
-    # packs were reallocated to grow.
-    bases = {}
-    for table in result.beliefs.values():
-        assert bases.setdefault(table.shape, table.base) is table.base
+    # Every table is still a view into the one store buffer, also after the
+    # buffer was reallocated to grow.
+    base = next(iter(result.beliefs.values())).base
+    assert base is not None
+    assert all(table.base is base for table in result.beliefs.values())
     return len(compiles), gained, result.closed
 
 
@@ -208,7 +208,7 @@ def test_sender_index_matches_fresh_build_every_round(monkeypatch):
 
 def checked_kept_index(monkeypatch, graph, params):
     """Runs pursuit, checking the search on every round's spec, which
-    carries the index grown from its parent's, and on the final spec
+    holds the index grown from its parent's, and on the final spec
     against the search on a fresh spec with the same clusters; then asks
     every parent again.  Returns the number of specs in which an existing
     extended cluster gained sub-clusters."""
@@ -263,10 +263,43 @@ def test_kept_index_follows_new_table_shapes():
         assert spec._search.shapes[-1] == (states,) * 4
 
 
+def test_each_round_takes_the_index_its_parent_searched_with(monkeypatch):
+    """During pursuit each round's spec holds the very index the previous
+    round searched with, grown in place, and the spec it replaced holds
+    none; so does a round whose clusters gained sub-clusters."""
+    seen = []
+
+    def recording(spec, beliefs, **kwargs):
+        held = spec.__dict__.get("_search")
+        if not seen:
+            assert held is None
+        elif spec is seen[-1][0]:  # the last round added nothing
+            assert held is seen[-1][1]
+        else:
+            assert held is seen[-1][1] and "_search" not in seen[-1][0].__dict__
+        got = stealth_candidates(spec, beliefs, **kwargs)
+        seen.append((spec, spec.__dict__["_search"]))
+        return got
+
+    monkeypatch.setattr(pursuit, "stealth_candidates", recording)
+    graph = random_grid(6, 6, 3, 0)
+    params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
+    result = run_with_pursuit(graph, dd_spec(graph), params)
+    specs = [spec for spec, _ in seen] + [result.spec]
+    gained = sum(
+        any(spec.subs_of(c) != before.subs_of(c) for c in before.extended_clusters)
+        for before, spec in zip(specs, specs[1:])
+    )
+    assert len(seen) >= 3 and gained >= 1
+    assert result.spec is not specs[-2]
+    assert result.spec.__dict__["_search"] is seen[-1][1]
+    assert "_search" not in specs[-2].__dict__
+
+
 def test_siblings_and_new_variables_answer_as_fresh_specs():
     """Two specs grown from one searched spec, one grown from the second and
-    one adding a variable no table had each carry a grown index and answer
-    as fresh specs do; so does the parent afterwards."""
+    one adding a variable no table had hold no index until searched and
+    answer as fresh specs do; so does the parent afterwards."""
     graph = random_grid(4, 4, 2, 0)
     spec = dd_spec(graph)
     beliefs = run(graph, spec, SolverParams(max_sweeps=20)).beliefs
@@ -277,7 +310,7 @@ def test_siblings_and_new_variables_answer_as_fresh_specs():
              (second.with_clusters({a.union: a.sub_clusters}), (a.union, b.union)),
              (spec.with_clusters({(15, 16): [(15,)]}), ((15, 16),))]
     for child, unions in grown:
-        assert child.__dict__.get("_search") is not None
+        assert "_search" not in child.__dict__
         tables = {**beliefs, **{u: np.zeros([2] * len(u)) for u in unions}}
         fresh = RelaxationSpec(child.extended_clusters, child.sub_clusters)
         assert stealth_candidates(child, tables) == stealth_candidates(fresh, tables)

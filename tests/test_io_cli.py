@@ -69,6 +69,11 @@ class TestUaiParsing:
         g = parse_uai(text)
         assert g.potentials[0].values[0] == pytest.approx(math.log(1e-300))
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_zero_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="zero_floor must be finite and > 0"):
+            parse_uai("MARKOV\n1\n2\n1\n1 0\n2 0.0 1.0", zero_floor=floor)
+
     def test_unsorted_scope_table_layout(self):
         # table listed row-major over scope (1, 0); entry for x1=0,x0=1 is 2.0
         text = "MARKOV\n2\n2 3\n1\n2 1 0\n6\n1 2 3 4 5 6\n"

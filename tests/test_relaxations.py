@@ -223,20 +223,16 @@ class TestWithClusters:
 
     def test_grown_support_and_index_extend_the_parents(self, clique_grid):
         """A grown spec inserts its new clusters into the parent's support
-        order and incidence index instead of computing them afresh; both
-        must equal a fresh computation, over two generations."""
+        order instead of computing it afresh; it must equal a fresh
+        computation, over two generations."""
         spec = max_intersection_spec(clique_grid)
-        spec._support_index
+        spec.support
         for added in ({(0, 1, 2, 3, 4, 5): GRID_CLIQUES[:2], GRID_CLIQUES[2]: ((3, 4, 6),)},
                       {(3, 4, 5, 6, 7, 8): GRID_CLIQUES[2:] + ((4, 5),)}):
             grown = spec.with_clusters(added)
-            assert {"support", "_support_index"} <= set(vars(grown))
+            assert "support" in vars(grown)
             whole = RelaxationSpec(grown.extended_clusters, grown.sub_clusters)
             assert grown.support == whole.support
-            index = whole._support_index
-            assert grown._support_index.keys() == index.keys()
-            for v, ts in index.items():
-                assert sorted(grown._support_index[v]) == sorted(ts), v
             spec = grown
 
     def test_derived_data_is_not_compared(self):
