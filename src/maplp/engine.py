@@ -67,13 +67,13 @@ entries in potential order.  So traces, tables, the assignment and
 ``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
 sweep.
 
-Pursuit keeps one :class:`_Sweep` across its belief-mode rounds.  A round
-stores just the new tables (a full store is reallocated at twice the size;
-the decoder stays unless a variable changes owner), schedules the appended
-clusters on the kept level map, or every cluster afresh when one gains
-sub-clusters, and rebuilds only the levels whose batches change: the steps
-equal a full compile's, and a pursuit compiles once.  Message mode rebuilds
-its state each round.
+Pursuit keeps one :class:`_Sweep` across its belief-mode rounds and tells
+it what each round added.  It stores just the new tables (a full store is
+reallocated at twice the size; the decoder stays unless a variable changes
+owner), schedules the appended clusters on the kept level map, or every
+cluster afresh when one gained sub-clusters, and rebuilds only the levels
+whose batches change: the steps equal a full compile's, and a pursuit
+compiles once.  Message mode rebuilds its state each round.
 """
 
 from __future__ import annotations
@@ -330,14 +330,14 @@ def _check_support(beliefs: BeliefState, ts: Iterable[Cluster]) -> None:
 
 def _check_shapes(beliefs: BeliefState, ts: tuple[Cluster, ...]) -> None:
     """Each of the tables ``ts`` has one axis per variable of its cluster,
-    and each variable one axis length in all of them, for callers with no
-    cardinalities to check against.  Checked in C-level passes; the
-    clusters to name are searched only on failure."""
+    none of length zero, and each variable one axis length in all of them,
+    for callers with no cardinalities to check against.  Checked in C-level
+    passes; the clusters to name are searched only on failure."""
     shapes = [beliefs[t].shape for t in ts]
     length = dict(zip(chain.from_iterable(ts), chain.from_iterable(shapes)))
     if (list(map(len, shapes)) == list(map(len, ts))
             and list(map(length.__getitem__, chain.from_iterable(ts)))
-            == list(chain.from_iterable(shapes))):
+            == list(chain.from_iterable(shapes)) and 0 not in length.values()):
         return
     holder: dict[int, tuple[int, Cluster]] = {}
     for t, shape in zip(ts, shapes):
@@ -349,6 +349,8 @@ def _check_shapes(beliefs: BeliefState, ts: tuple[Cluster, ...]) -> None:
             if m != n:
                 raise InvalidModelError(f"tables for clusters {first} and {t} give "
                                         f"variable {v} {m} and {n} states")
+    empty = [t for t, shape in zip(ts, shapes) if 0 in shape]
+    raise InvalidModelError(f"tables for clusters {empty}: an axis of length zero")
 
 
 def _block(beliefs: BeliefState, c: Cluster,
@@ -661,38 +663,40 @@ def _parts(batches: Mapping[tuple, list[Cluster]]) -> list[dict[tuple, list[Clus
 
 
 class _Sweep:
-    """The compiled belief-mode sweep of a spec over a stored state:
-    :attr:`steps` holds, per level, the :class:`_Level` parts that run it.
-    :meth:`prepare` compiles it for a new state, or for a spec that drops a
-    cluster or sub of the last one.  For a spec grown from the last one
-    over the same state, it stores the new tables and rebuilds the steps of
-    the levels whose batches changed, which leaves a full compile's steps.
-    Parts keep their index maps and scale while :attr:`kept_cells` stays
-    within ``_KEPT_CELLS``; a rebuilt or dropped level gives its kept cells
-    back."""
+    """The compiled belief-mode sweep of ``spec`` over ``state``, whose
+    tables it stores and points at their views: :attr:`steps` holds, per
+    level, the :class:`_Level` parts that run it.  :meth:`grow` follows a
+    spec grown from the last one over the same state and leaves a full
+    compile's steps.  Parts keep their index maps and scale while
+    :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt level gives
+    its kept cells back."""
 
-    def __init__(self, cardinalities: Sequence[int]):
-        self.cardinalities = cardinalities
-        self.spec: RelaxationSpec | None = None
-        self.state: BeliefState | None = None
+    def __init__(self, spec: RelaxationSpec, state: BeliefState,
+                 cardinalities: Sequence[int]):
+        _check_support(state, spec.support)
+        self.cardinalities, self.state = cardinalities, state
+        self.store = _Store({}, cardinalities)
+        self.levels: dict[Cluster, int] = {}
+        self.batches: dict[int, dict[tuple, list[Cluster]]] = {}
+        self.steps: list[list[_Level]] = []
+        self.kept_cells = self.clusters = 0
+        # Index templates by (table shape, sub layout, roles).
+        self._templates: dict[tuple, tuple] = {}
+        self.grow(spec, False)
 
-    def prepare(self, spec: RelaxationSpec, state: BeliefState) -> None:
-        old, previous, clusters = self.spec, None, spec.extended_clusters
-        grows = state is self.state
-        if grows and (spec.extended_clusters[:len(old.extended_clusters)] == old.extended_clusters
-                      and old.sub_clusters.items() <= spec.sub_clusters.items()):
-            clusters = clusters[len(old.extended_clusters):]
-        elif grows and all(c in spec.sub_clusters and set(ss) <= set(spec.sub_clusters[c])
-                           for c, ss in old.sub_clusters.items()):
-            # Every old cluster and sub kept: schedule afresh, and keep the
-            # levels whose batches are unchanged.
-            previous, self.levels, self.batches = self.batches, {}, {}
-        else:
-            grows = False
-            self._compile(state)
-        if grows:
-            new, moved = self.store.grow(state)
-            self.store.bind(state, list(self.store.where) if moved else new)
+    def grow(self, spec: RelaxationSpec, gained: bool) -> None:
+        """Store the state's new tables and follow ``spec``, the last spec
+        with clusters appended and, if ``gained``, subs added to existing
+        ones.  Appended clusters alone take their levels from the kept
+        level map; a gain schedules every cluster afresh and rebuilds the
+        levels whose batches changed.  A grown spec has no fewer levels:
+        its clusters only touch more tables."""
+        new, moved = self.store.grow(self.state)
+        self.store.bind(self.state, list(self.store.where) if moved else new)
+        clusters, previous = spec.extended_clusters[self.clusters:], None
+        if gained:
+            clusters, previous = spec.extended_clusters, self.batches
+            self.levels, self.batches = {}, {}
         changed = _schedule(spec, clusters, self.cardinalities, self.levels, self.batches)
         if previous is not None:
             changed = {level for level in changed if list(self.batches[level].items())
@@ -707,21 +711,7 @@ class _Sweep:
                     p.kept = p.maps()
                     self.kept_cells += p.map_cells
             self.steps[level - 1:level] = [parts]
-        for parts in self.steps[len(self.batches):]:  # levels a fresh schedule no longer has
-            self.kept_cells -= sum(p.map_cells for p in parts if p.kept)
-        del self.steps[len(self.batches):]
-        self.spec, self.state = spec, state
-
-    def _compile(self, state: BeliefState) -> None:
-        """Start over: store the whole state and forget every level."""
-        self.store = _Store(state, self.cardinalities)
-        self.store.bind(state, list(self.store.where))
-        self.levels: dict[Cluster, int] = {}
-        self.batches: dict[int, dict[tuple, list[Cluster]]] = {}
-        self.steps: list[list[_Level]] = []
-        self.kept_cells = 0
-        # Index templates by (table shape, sub layout, roles).
-        self._templates: dict[tuple, tuple] = {}
+        self.clusters = len(spec.extended_clusters)
 
 
 class _Primal:
@@ -783,13 +773,15 @@ def _run(
     start_time: float | None = None,
     sweep_offset: int = 0,
     sweep: _Sweep | None = None,
+    primal: _Primal | None = None,
 ) -> RunResult:
     """:func:`run` on a graph already checked by :func:`_check_model`.
 
     Pursuit re-enters here once per round with its warm state (``beliefs``
     or ``messages``), ``params`` with its round budget as ``max_sweeps``,
     the start time and sweep count that keep the trace cumulative across
-    rounds and, in belief mode, the :class:`_Sweep` it keeps across rounds.
+    rounds, its :class:`_Primal` and, in belief mode, the :class:`_Sweep`
+    it keeps across rounds, already grown to ``spec`` over ``beliefs``.
     """
     if params is None:
         params = SolverParams()
@@ -798,11 +790,10 @@ def _run(
     t0 = time.perf_counter() if start_time is None else start_time
 
     if mode == "beliefs":
-        state = beliefs if beliefs is not None else init_beliefs(graph, spec)
-        _check_support(state, spec.support)
-        sweep = _Sweep(graph.cardinalities) if sweep is None else sweep
-        sweep.prepare(spec, state)
-        store, steps = sweep.store, list(chain.from_iterable(sweep.steps))
+        if sweep is None:
+            state = beliefs if beliefs is not None else init_beliefs(graph, spec)
+            sweep = _Sweep(spec, state, graph.cardinalities)
+        state, store, steps = sweep.state, sweep.store, list(chain.from_iterable(sweep.steps))
     else:
         ctx = _MessageContext(graph, spec)
         if messages is None:
@@ -817,7 +808,7 @@ def _run(
     min_drop = float("inf")
     truncated = False
     converged = False
-    primal = _Primal(graph)
+    primal = _Primal(graph) if primal is None else primal
     # Decoding once up front reports a variable in no table before any sweep.
     x = store.states(graph.num_vars)
     g_prev = store.dual()

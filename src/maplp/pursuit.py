@@ -10,14 +10,13 @@ single block update of the union would achieve from its zero table
 (:func:`maplp.engine.dual_decrease`), and the best few are added per round.
 
 What a round costs.  The candidate search is batched over the current
-beliefs (Sontag, Choe & Li, UAI 2012) through an index it keeps with the
-spec it searched: one argmax per shape of parents, one gather projecting
-every edge, and a Python pair loop only over the tables whose senders
-disagree, with common parents taken from the same edges; each union's
-sub-clusters and scoring layout are found once.  :func:`run_with_pursuit`
-moves the index to each round's spec and grows it in place by the unions
-and edges the round adds.  The solve grows its kept sweep
-(:mod:`maplp.engine`), also when a cluster gains subs.
+beliefs (Sontag, Choe & Li, UAI 2012) through an index of the spec: one
+argmax per shape of parents, one gather projecting every edge, and a
+Python pair loop only over the tables whose senders disagree, with common
+parents taken from the same edges; each union's sub-clusters and scoring
+layout are found once.  :func:`run_with_pursuit` keeps one search index
+and, in belief mode, one compiled sweep (:mod:`maplp.engine`), and tells
+both what each round added, so each grows in place; specs carry neither.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
 from numbers import Integral
-from operator import attrgetter, eq
 from typing import Iterable
 
 import numpy as np
@@ -42,10 +40,12 @@ from .engine import (
     _check_shapes,
     _check_support,
     _embed_index,
+    _Primal,
     _run,
     _Sweep,
     _template,
     _TraceEnd,
+    init_beliefs,
     init_messages,
 )
 from .factor_graph import Cluster, FactorGraph, InvalidModelError, table_shape
@@ -88,33 +88,36 @@ def stealth_candidates(
     its first pair; results are sorted by descending score, then
     lexicographic union.
 
-    The search is batched over an index kept with the spec (built on the
-    first call, or handed on and grown by :func:`run_with_pursuit`): one
-    argmax per shape of parents, one gather projecting every edge, and a
-    pair loop over the tables whose senders disagree.  Unions are
-    scored in one numpy update per union order and sub-cluster layout, with
-    the float operations of :func:`~maplp.engine.dual_decrease` on a zero
-    union table, so scores are bit-identical to it.  Raises ``ValueError``
+    The search is batched over an index of the spec (see
+    :class:`_SearchIndex`): one argmax per shape of parents, one gather
+    projecting every edge, and a pair loop over the tables whose senders
+    disagree.  Unions are scored in one numpy update per union order and
+    sub-cluster layout, with the float operations of
+    :func:`~maplp.engine.dual_decrease` on a zero union table, so scores
+    are bit-identical to it.  Raises ``ValueError``
     unless ``max_order`` is an integer >= 1, :class:`CoverageError` when a
     support cluster has no table, and :class:`InvalidModelError` when a
-    support table has not one axis per variable of its cluster, a variable
-    has two axis lengths across the tables holding it, or a support table
-    has a NaN or infinite entry.
+    support table has not one axis per variable of its cluster or an axis
+    of length zero, a variable has two axis lengths across the tables
+    holding it, or a support table has a NaN or infinite entry.
     """
     _check_max_order(max_order)
     _check_support(beliefs, spec.support)
-    index = spec.__dict__.get("_search")
-    if index is None or not all(map(eq, map(attrgetter("shape"), map(
-            beliefs.__getitem__, index.order)), index.shapes)):
-        _check_shapes(beliefs, spec.support)
-        index = spec.__dict__["_search"] = _SearchIndex(spec, beliefs)
+    _check_shapes(beliefs, spec.support)
+    return _candidates(_SearchIndex(spec, beliefs), beliefs, max_order)
+
+
+def _candidates(index: _SearchIndex, beliefs: BeliefState,
+                max_order: int) -> list[StealthCandidate]:
+    """:func:`stealth_candidates` over ``index``, for tables of the shapes
+    it was built and grown with."""
     # One pass over every support table, read or not.
-    tables = list(map(beliefs.__getitem__, index.order))
+    order = index.order
+    tables = list(map(beliefs.__getitem__, order))
     if not np.isfinite(np.concatenate(tables, axis=None)).all():
-        bad = [t for t in spec.support if not np.isfinite(beliefs[t]).all()]
+        bad = [t for t in order if not np.isfinite(beliefs[t]).all()]
         raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
     # Each parent's decoded cell, by shape; each edge's projection of it.
-    order = index.order
     flat = np.empty(len(order), dtype=np.intp)
     for ts, rows in index.groups.values():
         stack = np.array(list(map(beliefs.__getitem__, ts)), dtype=np.float64)
@@ -164,21 +167,20 @@ def _check_max_order(max_order: int) -> None:
 
 
 class _SearchIndex:
-    """What the search keeps of a spec, for the table shapes it was built
-    for.  A row is a table's position in :attr:`order`, the support as it
-    grew; :attr:`first` holds the support tables by smallest variable.
+    """What the search keeps of a spec and its table shapes.  A row is a
+    table's position in :attr:`order`, the support as it grew;
+    :attr:`first` holds the support tables by smallest variable.
     :attr:`groups` holds the parents (:attr:`sends`) and their rows by
     shape.  Each :attr:`edges` column is a (parent, proper sub) edge: both
     rows and where its code table, the cell each parent cell projects to,
     starts in :attr:`codes`.  :attr:`unions` keeps each union's subs and
-    batch, and :attr:`holding` the cached unions by variable.  Pursuit
-    moves the index from spec to spec and grows it in place, so one spec
-    holds it at a time."""
+    batch, and :attr:`holding` the cached unions by variable.
+    :func:`run_with_pursuit` keeps one index across its rounds and grows
+    it by what each round adds."""
 
     def __init__(self, spec: RelaxationSpec, beliefs: BeliefState):
         self.order = list(spec.support)
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per shape
-        self.shapes = [shared.setdefault(beliefs[t].shape, beliefs[t].shape) for t in self.order]
+        self.shapes = [beliefs[t].shape for t in self.order]
         self.row, self.sends = {t: i for i, t in enumerate(self.order)}, bytearray(len(self.order))
         self.first: dict[int, list[Cluster]] = {}
         for t in self.order:
@@ -293,7 +295,8 @@ def run_with_pursuit(
     and ``max_order`` must be an integer >= 1 (``ValueError``).  In belief
     mode the compiled sweep is kept across rounds and grows with the spec,
     so it is compiled once.  Message mode rebuilds its state each round.
-    The candidate-search index moves to each round's spec, grown in place.
+    The candidate-search index is built at the first search and grown in
+    place after each round.
     """
     _check_model(graph)
     _check_max_order(max_order)
@@ -302,9 +305,11 @@ def run_with_pursuit(
     t0 = time.perf_counter()
     trace = DualTrace()
     current = spec
-    beliefs: BeliefState | None = None
     messages: Messages | None = None
-    sweep = _Sweep(graph.cardinalities) if mode == "beliefs" else None
+    beliefs = init_beliefs(graph, spec) if mode == "beliefs" else None
+    sweep = None if beliefs is None else _Sweep(spec, beliefs, graph.cardinalities)
+    index: _SearchIndex | None = None
+    primal = _Primal(graph)
     rounds = 0
     truncated = False
 
@@ -321,6 +326,7 @@ def run_with_pursuit(
             start_time=t0,
             sweep_offset=len(trace),
             sweep=sweep,
+            primal=primal,
         )
         trace.records.extend(result.trace.records)
         beliefs = result.beliefs
@@ -331,7 +337,9 @@ def run_with_pursuit(
             truncated = True
             break
 
-        candidates = stealth_candidates(current, beliefs, max_order=max_order)
+        if index is None:
+            index = _SearchIndex(current, beliefs)
+        candidates = _candidates(index, beliefs, max_order)
         if time.perf_counter() - t0 > params.time_limit:
             truncated = True
             break
@@ -357,15 +365,14 @@ def run_with_pursuit(
         for cand in chosen:
             if cand.union not in beliefs:
                 beliefs[cand.union] = np.zeros(table_shape(cand.union, graph.cardinalities))
-        # The search index moves to the new spec, grown by what the round adds.
-        index = previous.__dict__.pop("_search", None)
-        if index is not None:
-            edges = []
-            for c in chosen:
-                old = previous.proper_subs_of(c.union)
-                edges += [(c.union, s) for s in current.proper_subs_of(c.union) if s not in old]
-            index.grow(edges, [c.union for c in chosen if c.union not in index.row], beliefs)
-            current.__dict__["_search"] = index
+        # The index and the sweep grow by what the round added.
+        edges = []
+        for c in chosen:
+            old = previous.proper_subs_of(c.union)
+            edges += [(c.union, s) for s in current.proper_subs_of(c.union) if s not in old]
+        index.grow(edges, [c.union for c in chosen if c.union not in index.row], beliefs)
+        if sweep is not None:
+            sweep.grow(current, any(c.union in present for c in chosen))
         if messages is not None:
             fresh = init_messages(current, graph.cardinalities)
             fresh.update(messages)

@@ -17,10 +17,9 @@ clusters that share a variable, not with all pairs of clusters.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .factor_graph import Cluster, FactorGraph
@@ -45,8 +44,10 @@ class RelaxationSpec:
     is derived, never stored in a field: it, its sender index and the
     proper sub-clusters of each extended cluster are computed once per
     spec, outside the fields ``==`` compares; a grown spec
-    (:meth:`with_clusters`) extends its parent's support and proper
-    sub-clusters.
+    (:meth:`with_clusters`) extends its parent's proper sub-clusters and
+    computes its own support and sender index on first use.  A spec
+    carries nothing else: the solver's and the search's round state is
+    the pursuit loop's.
     """
 
     extended_clusters: tuple[Cluster, ...]
@@ -105,21 +106,7 @@ class RelaxationSpec:
         object.__setattr__(spec, "extended_clusters", tuple(ext))
         object.__setattr__(spec, "sub_clusters", subs)
         object.__setattr__(spec, "_proper", proper)
-        if "support" in self.__dict__:
-            # The parent's support, grown by the tables the additions bring;
-            # the parent's extended clusters are in it already.
-            support = list(self.support)
-            for t in dict.fromkeys(chain.from_iterable((c, *subs[c]) for c in additions)):
-                if t not in self.sub_clusters:
-                    i = bisect_left(support, _size_lex(t), key=_size_lex)
-                    if i == len(support) or support[i] != t:
-                        support.insert(i, t)
-            spec.__dict__["support"] = tuple(support)
         return spec
-
-
-def _size_lex(c: Cluster) -> tuple[int, Cluster]:
-    return len(c), c
 
 
 def _checked_subs(c: Cluster, ss: Iterable[Cluster]) -> tuple[Cluster, ...]:

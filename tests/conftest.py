@@ -1,5 +1,7 @@
 """Shared fixtures: the two reference graphs used throughout the suite,
-and the per-table maximiser projections that pursuit tests compare against.
+the per-table maximiser projections that pursuit tests compare against,
+and ``route_search``, which lets a test see or replace each pursuit
+round's candidate search.
 
 Both graphs appear repeatedly in the tests because their reduction behaviour
 is known in closed form:
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import maplp.pursuit as pursuit
 from maplp import FactorGraph, XorShift64Star
 
 CHAIN_CLUSTERS = ((0, 1, 2), (1, 2, 3), (2, 3, 4), (2,))
@@ -102,3 +105,23 @@ def random_clusters_graph(seed: int, max_vars: int = 12) -> FactorGraph:
     for c in clusters:
         tables.append(rng.normals(2 ** len(c)))
     return FactorGraph([2] * n, clusters, tables)
+
+
+def route_search(monkeypatch, search):
+    """Make each round of ``run_with_pursuit`` take its candidates from
+    ``search(spec, beliefs, found, index)``: ``spec`` is the spec the round
+    just solved, ``index`` the search index pursuit keeps and ``found``
+    what pursuit's own search over it gives."""
+    solved = []
+    run, candidates = pursuit._run, pursuit._candidates
+
+    def running(graph, spec, *args, **kwargs):
+        solved.append(spec)
+        return run(graph, spec, *args, **kwargs)
+
+    def routed(index, beliefs, max_order):
+        found = candidates(index, beliefs, max_order)
+        return search(solved[-1], beliefs, found, index)
+
+    monkeypatch.setattr(pursuit, "_candidates", routed)
+    monkeypatch.setattr(pursuit, "_run", running)

@@ -31,23 +31,30 @@ ENTRY_POINTS = {
     "update_cluster_beliefs": lambda g, spec, b: update_cluster_beliefs(b, PAIR, spec.subs_of(PAIR)),
     "dual_decrease": lambda g, spec, b: dual_decrease(b, PAIR, spec.subs_of(PAIR)),
     "stealth_candidates": lambda g, spec, b: stealth_candidates(spec, b),
-    # The search keeps an index with the spec, built here on good tables.
+    # A search on good tables first leaves nothing behind for the next.
     "stealth_candidates (index built)": lambda g, spec, b: (
         stealth_candidates(spec, init_beliefs(g, spec)), stealth_candidates(spec, b)),
 }
 
-CASES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "missing": None, "mis-shaped": None}
+CASES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "missing": None, "mis-shaped": None,
+         "empty": None}
 
 
 def corrupt(beliefs, case):
     """Apply one bad-input case; returns the cluster the error must name.
     A non-finite entry goes into the pair table, which every entry point
-    reads (the candidate search decodes it as a parent)."""
+    reads (the candidate search decodes it as a parent).  ``empty`` gives
+    variable 0 no states in every table holding it, so that the shapes
+    agree with each other."""
     if case == "missing":
         del beliefs[SINGLE]
         return SINGLE
     if case == "mis-shaped":
         beliefs[SINGLE] = np.zeros(3)
+        return SINGLE
+    if case == "empty":
+        for t in [t for t in beliefs if 0 in t]:
+            beliefs[t] = np.zeros([0 if v == 0 else 2 for v in t])
         return SINGLE
     beliefs[PAIR][0, 1] = CASES[case]
     return PAIR

@@ -31,7 +31,7 @@ from maplp import (
 )
 from maplp.pursuit import StealthCandidate
 
-from conftest import decoded_projection, frustrated_cycle, random_clusters_graph
+from conftest import decoded_projection, frustrated_cycle, random_clusters_graph, route_search
 
 
 def canonical(clusters):
@@ -150,20 +150,19 @@ def reference_stealth_candidates(spec, beliefs, *, max_order=pursuit.DEFAULT_UNI
 
 
 def checked_pursuit(monkeypatch, graph, params):
-    """Run pursuit, comparing every round's candidates with the reference;
-    returns the number of rounds checked."""
+    """Run pursuit, comparing every round's candidates, from the index it
+    keeps, with the reference; returns the number of rounds checked."""
     rounds = []
 
-    def checked(spec, beliefs, **kwargs):
-        got = stealth_candidates(spec, beliefs, **kwargs)
-        want = reference_stealth_candidates(spec, beliefs, **kwargs)
+    def checked(spec, beliefs, got, index):
+        want = reference_stealth_candidates(spec, beliefs)
         assert [(c.parents, c.shared, c.union, c.sub_clusters, c.score) for c in got] == [
             (c.parents, c.shared, c.union, c.sub_clusters, c.score) for c in want
         ]
         rounds.append(len(got))
         return got
 
-    monkeypatch.setattr(pursuit, "stealth_candidates", checked)
+    route_search(monkeypatch, checked)
     result = run_with_pursuit(graph, dd_spec(graph), params)
     assert result.closed
     return len(rounds)

@@ -29,7 +29,7 @@ from maplp import (
 )
 from maplp.factor_graph import table_shape
 
-from conftest import frustrated_cycle
+from conftest import frustrated_cycle, route_search
 
 CYCLE_PARAMS = SolverParams(max_sweeps=500, pursuit_sweeps=50)
 
@@ -68,27 +68,33 @@ def reference_pursuit(graph, spec, params, search):
                 beliefs[c.union] = np.zeros(table_shape(c.union, graph.cardinalities))
 
 
-def checked_pursuit(monkeypatch, graph, params, search=stealth_candidates):
+def kept_search(spec, beliefs, found, index):
+    """Pursuit's own search, over the index it keeps."""
+    return found
+
+
+def checked_pursuit(monkeypatch, graph, params, search=kept_search,
+                    reference_search=stealth_candidates):
     """Runs pursuit with ``search`` as its candidate search, asserts every
-    round against the reference; returns the number of full compiles and of
-    reference rounds where a cluster gained sub-clusters, and whether the
-    gap closed."""
+    round against the reference searching with ``reference_search``;
+    returns the number of full compiles and of reference rounds where a
+    cluster gained sub-clusters, and whether the gap closed."""
     seen, compiles = [], []
-    compile_ = engine._Sweep._compile
+    init = engine._Sweep.__init__
 
-    def recording(spec, beliefs, **kwargs):
+    def recording(spec, beliefs, found, index):
         seen.append((spec, copied(beliefs)))
-        return search(spec, beliefs, **kwargs)
+        return search(spec, beliefs, found, index)
 
-    def counting(self, state):
+    def counting(self, spec, state, cardinalities):
         compiles.append(state)
-        return compile_(self, state)
+        init(self, spec, state, cardinalities)
 
-    monkeypatch.setattr(pursuit, "stealth_candidates", recording)
-    monkeypatch.setattr(engine._Sweep, "_compile", counting)
+    route_search(monkeypatch, recording)
+    monkeypatch.setattr(engine._Sweep, "__init__", counting)
     result = run_with_pursuit(graph, dd_spec(graph), params)
     monkeypatch.undo()
-    want, gained = reference_pursuit(graph, dd_spec(graph), params, search)
+    want, gained = reference_pursuit(graph, dd_spec(graph), params, reference_search)
 
     assert result.rounds == len(want) - 1
     for r, (spec, duals, primals, _, tables) in enumerate(want):
@@ -162,7 +168,7 @@ def test_rounds_that_add_nothing_match_full_compiles(monkeypatch):
     graph = cycle_union([frustrated_cycle(seed) for seed in range(3)])
     params = SolverParams(max_sweeps=2, pursuit_sweeps=1)
     compiles, gained, closed = checked_pursuit(
-        monkeypatch, graph, params, lambda spec, beliefs, **kwargs: []
+        monkeypatch, graph, params, lambda *args: [], lambda spec, beliefs: []
     )
     assert compiles == 1 and gained == 0 and not closed
 
@@ -184,12 +190,12 @@ def test_sender_index_matches_fresh_build_every_round(monkeypatch):
     message context reads the same index."""
     specs = []
 
-    def recording(spec, beliefs, **kwargs):
-        assert (specs and spec is specs[-1]) or "_senders" not in spec.__dict__
+    def recording(spec, beliefs, found, index):
+        assert (specs and spec is specs[-1]) or "_senders" not in vars(spec)
         specs.append(spec)
-        return stealth_candidates(spec, beliefs, **kwargs)
+        return found
 
-    monkeypatch.setattr(pursuit, "stealth_candidates", recording)
+    route_search(monkeypatch, recording)
     graph = random_grid(6, 6, 3, 0)
     params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
     result = run_with_pursuit(graph, dd_spec(graph), params)
@@ -207,29 +213,28 @@ def test_sender_index_matches_fresh_build_every_round(monkeypatch):
 
 
 def checked_kept_index(monkeypatch, graph, params):
-    """Runs pursuit, checking the search on every round's spec, which
-    holds the index grown from its parent's, and on the final spec
-    against the search on a fresh spec with the same clusters; then asks
-    every parent again.  Returns the number of specs in which an existing
-    extended cluster gained sub-clusters."""
-    rounds = []
+    """Runs pursuit, checking the search over its kept index on every
+    round's spec, and the index grown by the last round on the final spec,
+    against the search on a fresh spec with the same clusters.  Returns the
+    number of specs in which an existing extended cluster gained
+    sub-clusters."""
+    rounds, kept = [], []
 
-    def checked(spec, beliefs, **kwargs):
-        assert not rounds or "_search" in spec.__dict__
-        got = stealth_candidates(spec, beliefs, **kwargs)
-        fresh = RelaxationSpec(spec.extended_clusters, spec.sub_clusters)
-        assert got == stealth_candidates(fresh, beliefs, **kwargs)
-        rounds.append((spec, copied(beliefs), got))
-        return got
+    def recording(spec, beliefs, found, index):
+        rounds.append((spec, copied(beliefs), found))
+        kept.append(index)
+        return found
 
-    monkeypatch.setattr(pursuit, "stealth_candidates", checked)
+    route_search(monkeypatch, recording)
     result = run_with_pursuit(graph, dd_spec(graph), params)
-    if result.spec is not rounds[-1][0]:
-        checked(result.spec, result.beliefs)
     monkeypatch.undo()
+    if result.spec is not rounds[-1][0]:
+        found = pursuit._candidates(kept[-1], result.beliefs, pursuit.DEFAULT_UNION_ORDER_CAP)
+        recording(result.spec, result.beliefs, found, kept[-1])
     assert len(rounds) >= 3
     for spec, beliefs, got in rounds:
-        assert stealth_candidates(spec, beliefs) == got
+        fresh = RelaxationSpec(spec.extended_clusters, spec.sub_clusters)
+        assert got == stealth_candidates(fresh, beliefs)
     return sum(
         any(spec.subs_of(c) != before.subs_of(c) for c in before.extended_clusters)
         for (before, _, _), (spec, _, _) in zip(rounds, rounds[1:])
@@ -251,55 +256,91 @@ def test_kept_index_matches_fresh_search_on_grids(monkeypatch):
     assert gained[0] == 1
 
 
-def test_kept_index_follows_new_table_shapes():
-    """A spec searched once, then searched with tables of other consistent
-    shapes, answers as a fresh spec does."""
-    spec = dd_spec(random_grid(3, 3, 2, 0))
-    for states in (2, 3, 2):
-        graph = random_grid(3, 3, states, 1)
-        beliefs = run(graph, spec, SolverParams(max_sweeps=5)).beliefs
-        fresh = RelaxationSpec(spec.extended_clusters, spec.sub_clusters)
-        assert stealth_candidates(spec, beliefs) == stealth_candidates(fresh, beliefs)
-        assert spec._search.shapes[-1] == (states,) * 4
+GRID_PARAMS = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
 
 
-def test_each_round_takes_the_index_its_parent_searched_with(monkeypatch):
-    """During pursuit each round's spec holds the very index the previous
-    round searched with, grown in place, and the spec it replaced holds
-    none; so does a round whose clusters gained sub-clusters."""
-    seen = []
-
-    def recording(spec, beliefs, **kwargs):
-        held = spec.__dict__.get("_search")
-        if not seen:
-            assert held is None
-        elif spec is seen[-1][0]:  # the last round added nothing
-            assert held is seen[-1][1]
-        else:
-            assert held is seen[-1][1] and "_search" not in seen[-1][0].__dict__
-        got = stealth_candidates(spec, beliefs, **kwargs)
-        seen.append((spec, spec.__dict__["_search"]))
-        return got
-
-    monkeypatch.setattr(pursuit, "stealth_candidates", recording)
-    graph = random_grid(6, 6, 3, 0)
-    params = SolverParams(max_sweeps=100, pursuit_sweeps=10, clusters_per_round=10)
-    result = run_with_pursuit(graph, dd_spec(graph), params)
-    specs = [spec for spec, _ in seen] + [result.spec]
-    gained = sum(
+def gained_rounds(specs):
+    """How many specs of ``specs`` gave an existing extended cluster more
+    sub-clusters than the one before."""
+    return sum(
         any(spec.subs_of(c) != before.subs_of(c) for c in before.extended_clusters)
         for before, spec in zip(specs, specs[1:])
     )
-    assert len(seen) >= 3 and gained >= 1
-    assert result.spec is not specs[-2]
-    assert result.spec.__dict__["_search"] is seen[-1][1]
-    assert "_search" not in specs[-2].__dict__
+
+
+def test_each_round_takes_the_index_its_parent_searched_with(monkeypatch):
+    """Every round searches with one index and solves with one compiled
+    sweep, each built once and grown in place; also over a round whose
+    clusters gained sub-clusters."""
+    specs, indexes, sweeps = [], [], []
+
+    def recording(spec, beliefs, found, index):
+        indexes.append(index)
+        return found
+
+    route_search(monkeypatch, recording)
+    run_ = pursuit._run
+
+    def running(graph, spec, *args, sweep=None, **kwargs):
+        specs.append(spec)
+        sweeps.append(sweep)
+        return run_(graph, spec, *args, sweep=sweep, **kwargs)
+
+    monkeypatch.setattr(pursuit, "_run", running)
+    graph = random_grid(6, 6, 3, 0)
+    run_with_pursuit(graph, dd_spec(graph), GRID_PARAMS)
+    assert len(indexes) >= 3 and gained_rounds(specs) >= 1
+    assert isinstance(indexes[0], pursuit._SearchIndex)
+    assert all(index is indexes[0] for index in indexes)
+    assert isinstance(sweeps[0], engine._Sweep)
+    assert all(sweep is sweeps[0] for sweep in sweeps)
+
+
+def test_no_spec_holds_round_state(monkeypatch):
+    """No spec a round solves, nor the result's, holds the search index
+    or anything but its fields and the caches it computes itself."""
+    specs = []
+    run_ = pursuit._run
+
+    def running(graph, spec, *args, **kwargs):
+        specs.append(spec)
+        return run_(graph, spec, *args, **kwargs)
+
+    monkeypatch.setattr(pursuit, "_run", running)
+    graph = random_grid(6, 6, 3, 0)
+    result = run_with_pursuit(graph, dd_spec(graph), GRID_PARAMS)
+    specs.append(result.spec)
+    assert len(specs) >= 4 and gained_rounds(specs) >= 1
+    own = {"extended_clusters", "sub_clusters", "_proper", "support", "_senders"}
+    for spec in specs:
+        assert set(vars(spec)) <= own, set(vars(spec)) - own
+
+
+def test_grown_sweep_levels_match_a_fresh_compile(monkeypatch):
+    """Before each round's solve the kept sweep has one step per level, as
+    many levels as a sweep compiled afresh on a copy of the state, and the
+    same batches."""
+    checked = []
+    run_ = pursuit._run
+
+    def running(graph, spec, *args, sweep=None, **kwargs):
+        fresh = engine._Sweep(spec, copied(sweep.state), graph.cardinalities)
+        assert len(sweep.steps) == len(sweep.batches) == len(fresh.steps) == len(fresh.batches)
+        assert sweep.batches == fresh.batches
+        checked.append(spec)
+        return run_(graph, spec, *args, sweep=sweep, **kwargs)
+
+    monkeypatch.setattr(pursuit, "_run", running)
+    for graph in (random_grid(6, 6, 3, 0),
+                  cycle_union([frustrated_cycle(seed) for seed in range(10)])):
+        run_with_pursuit(graph, dd_spec(graph), GRID_PARAMS)
+    assert len(checked) >= 6 and gained_rounds(checked) >= 1
 
 
 def test_siblings_and_new_variables_answer_as_fresh_specs():
     """Two specs grown from one searched spec, one grown from the second and
-    one adding a variable no table had hold no index until searched and
-    answer as fresh specs do; so does the parent afterwards."""
+    one adding a variable no table had answer as fresh specs do; so does
+    the parent afterwards."""
     graph = random_grid(4, 4, 2, 0)
     spec = dd_spec(graph)
     beliefs = run(graph, spec, SolverParams(max_sweeps=20)).beliefs
@@ -310,37 +351,7 @@ def test_siblings_and_new_variables_answer_as_fresh_specs():
              (second.with_clusters({a.union: a.sub_clusters}), (a.union, b.union)),
              (spec.with_clusters({(15, 16): [(15,)]}), ((15, 16),))]
     for child, unions in grown:
-        assert "_search" not in child.__dict__
         tables = {**beliefs, **{u: np.zeros([2] * len(u)) for u in unions}}
         fresh = RelaxationSpec(child.extended_clusters, child.sub_clusters)
         assert stealth_candidates(child, tables) == stealth_candidates(fresh, tables)
     assert stealth_candidates(spec, beliefs) == before
-
-
-def test_kept_sweep_compiles_for_a_spec_that_drops_clusters(monkeypatch):
-    """A kept sweep given a spec without some clusters of the last one over
-    the same state compiles, so no level of the dropped clusters stays: it
-    runs as a sweep compiled for that spec alone."""
-    graph = random_grid(6, 6, 3, 0)
-    spec = dd_spec(graph)
-    state = run(graph, spec, SolverParams(max_sweeps=30)).beliefs
-    chosen = stealth_candidates(spec, state)[:10]
-    for c in chosen:
-        state[c.union] = np.zeros(table_shape(c.union, graph.cardinalities))
-    grown = spec.with_clusters({c.union: c.sub_clusters for c in chosen})
-    twin = copied(state)
-    sweep, fresh = engine._Sweep(graph.cardinalities), engine._Sweep(graph.cardinalities)
-    sweep.prepare(grown, state)
-    levels = len(sweep.steps)
-    compiles = []
-    compile_ = engine._Sweep._compile
-    monkeypatch.setattr(engine._Sweep, "_compile",
-                        lambda self, state: compiles.append(state) or compile_(self, state))
-    sweep.prepare(spec, state)
-    fresh.prepare(spec, twin)
-    assert compiles == [state, twin]
-    assert len(sweep.steps) == len(fresh.steps) < levels
-    params = SolverParams(max_sweeps=10)
-    got = engine._run(graph, spec, params, beliefs=state, sweep=sweep)
-    want = engine._run(graph, spec, params, beliefs=twin, sweep=fresh)
-    assert got.trace.duals == want.trace.duals and got.assignment == want.assignment

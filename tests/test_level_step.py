@@ -145,8 +145,7 @@ def test_one_step_per_level_on_sixteen_grid(name):
     builder, levels = GRID_LEVELS[name]
     g = random_grid(16, 16, 3, seed=0)
     spec = builder(g)
-    sweep = _Sweep(g.cardinalities)
-    sweep.prepare(spec, init_beliefs(g, spec))
+    sweep = _Sweep(spec, init_beliefs(g, spec), g.cardinalities)
     assert len(sweep.steps) == len(sweep.batches) == levels
 
 
@@ -166,19 +165,25 @@ def kept_sizes(sweep):
 
 class BudgetedRuns:
     """One warm-started state and kept sweep per keep budget, solved in
-    step; the budget is patched in around each solve."""
+    step; the budget is patched in around each compile, grow and solve."""
 
     def __init__(self, monkeypatch, graph, spec, budgets):
         self.monkeypatch, self.graph, self.budgets = monkeypatch, graph, budgets
         self.states = {b: init_beliefs(graph, spec) for b in budgets}
-        self.sweeps = {b: _Sweep(graph.cardinalities) for b in budgets}
+        self.sweeps = {}
+        for b in budgets:
+            monkeypatch.setattr(engine, "_KEPT_CELLS", b)
+            self.sweeps[b] = _Sweep(spec, self.states[b], graph.cardinalities)
 
-    def solve(self, spec, max_sweeps):
-        """Solve ``spec`` at every budget; require ``==`` traces, decrease,
+    def solve(self, spec, max_sweeps, gained=None):
+        """Solve ``spec`` at every budget, first growing each kept sweep to
+        it unless ``gained`` is None; require ``==`` traces, decrease,
         assignments and stores, and return the last budget's result."""
         results = {}
         for b in self.budgets:
             self.monkeypatch.setattr(engine, "_KEPT_CELLS", b)
+            if gained is not None:
+                self.sweeps[b].grow(spec, gained)
             results[b] = _run(self.graph, spec, SolverParams(max_sweeps=max_sweeps),
                               beliefs=self.states[b], sweep=self.sweeps[b])
         first, *rest = self.budgets
@@ -214,9 +219,10 @@ def test_kept_and_rebuilt_maps_agree_on_pursuit_grown_grid(monkeypatch):
     for _ in range(3):
         chosen = stealth_candidates(spec, result.beliefs)[:10]
         assert chosen
+        gained = any(c.union in spec.sub_clusters for c in chosen)
         spec = grow(g, spec, runs.states[0], chosen)
         grow(g, spec, runs.states[KEPT_CELLS], chosen)
-        result = runs.solve(spec, max_sweeps=10)
+        result = runs.solve(spec, max_sweeps=10, gained=gained)
         kept = [bool(p.kept) for p in all_parts(runs.sweeps[KEPT_CELLS])]
         assert any(kept) and not all(kept)
         assert not kept_sizes(runs.sweeps[0])
@@ -229,14 +235,16 @@ def test_kept_cells_stay_within_budget_across_pursuit_rounds():
     whose grown parts no longer fit)."""
     g = random_grid(6, 6, 3, seed=0)
     spec = gmplp_spec(g)
-    sweep = _Sweep(g.cardinalities)
+    sweep = _Sweep(spec, init_beliefs(g, spec), g.cardinalities)
     result = _run(g, spec, SolverParams(max_sweeps=30), sweep=sweep)
     assert sweep.kept_cells == sum(kept_sizes(sweep)) <= KEPT_CELLS
     freed = 0
     for _ in range(3):
         chosen = stealth_candidates(spec, result.beliefs)[:10]
+        gained = any(c.union in spec.sub_clusters for c in chosen)
         spec = grow(g, spec, result.beliefs, chosen)
         before, old = sweep.kept_cells, all_parts(sweep)
+        sweep.grow(spec, gained)
         result = _run(g, spec, SolverParams(max_sweeps=10), beliefs=result.beliefs,
                       sweep=sweep)
         current = all_parts(sweep)
@@ -253,8 +261,7 @@ def test_twelve_variable_instances_keep_every_map(builder):
     for seed in range(6):
         g = random_clusters_graph(seed, max_vars=12)
         spec = builder(g)
-        sweep = _Sweep(g.cardinalities)
-        sweep.prepare(spec, init_beliefs(g, spec))
+        sweep = _Sweep(spec, init_beliefs(g, spec), g.cardinalities)
         assert sweep.steps
         assert all(p.kept for p in all_parts(sweep))
 
@@ -275,7 +282,7 @@ def assert_role_sums_agree(monkeypatch, graph, spec, max_sweeps):
 
         monkeypatch.setattr(engine, "_SUM_MEMBERS", members)
         monkeypatch.setattr(engine._Level, "__call__", recorded)
-        sweep = _Sweep(graph.cardinalities)
+        sweep = _Sweep(spec, init_beliefs(graph, spec), graph.cardinalities)
         result = _run(graph, spec, SolverParams(max_sweeps=max_sweeps), sweep=sweep)
         summed = [p for p in all_parts(sweep) if p.K > 1]
         assert summed and all(p.accumulate == (members > 0) for p in summed)
@@ -316,21 +323,20 @@ def test_role_sums_agree_on_hundred_member_levels(monkeypatch):
     assert {len(p.cells) for p in all_parts(sweep)} == {100}
 
 
-# Bytes that ``retained_by_prepare`` counts for a ``ps`` sweep of the
+# Bytes that ``retained_by_compile`` counts for a ``ps`` sweep of the
 # 16x16x3 grid compiled as one step per (level, shape, layout) batch over
 # one pack per table shape, with views bound per step (Python 3.11,
 # numpy 2.4).
 PACKED_SWEEP_RETAINED = 1_749_744
 
 
-def retained_by_prepare(graph, spec):
-    """Bytes allocated by ``_Sweep.prepare`` and still held after it."""
+def retained_by_compile(graph, spec):
+    """Bytes allocated by compiling a ``_Sweep`` and still held after it."""
     state = init_beliefs(graph, spec)
     gc.collect()
     tracemalloc.start()
     try:
-        sweep = _Sweep(graph.cardinalities)
-        sweep.prepare(spec, state)
+        sweep = _Sweep(spec, state, graph.cardinalities)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
@@ -341,4 +347,4 @@ def retained_by_prepare(graph, spec):
 
 def test_compiled_sweep_retains_no_more_than_packed_sweep():
     g = random_grid(16, 16, 3, seed=0)
-    assert retained_by_prepare(g, powerset_spec(g)) <= PACKED_SWEEP_RETAINED
+    assert retained_by_compile(g, powerset_spec(g)) <= PACKED_SWEEP_RETAINED
