@@ -62,18 +62,21 @@ contiguous axis pairwise, as the role axis of one member with 8 or more
 roles.  Maxima are exact in any order; a padded role adds zero.  The dual
 adds the table maxima left to right in store order, which is the state's
 table order (a store grows only by tables appended to its state), from
-``0.0``, with one sequential accumulate; the primal adds the potential
-entries in potential order.  So traces, tables, the assignment and
-``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
-sweep.
+``0.0``, with one sequential accumulate; the primal gathers the potential
+entries at the decoded states and adds them the same way, in potential
+order.  So traces, tables, the assignment and ``min_update_decrease`` are
+bit-identical to the one-cluster-at-a-time sweep.
 
 Pursuit keeps one :class:`_Sweep` across its belief-mode rounds and tells
 it what each round added.  It stores just the new tables (a full store is
 reallocated at twice the size; the decoder stays unless a variable changes
-owner), schedules the appended clusters on the kept level map, or every
-cluster afresh when one gained sub-clusters, and rebuilds only the levels
-whose batches change: the steps equal a full compile's, and a pursuit
-compiles once.  Message mode rebuilds its state each round.
+owner) and schedules the appended clusters on the kept level map; each
+level they join keeps its parts and extends its last one from the member
+offsets it keeps, so a round's work grows with what it added.  When a
+cluster gained sub-clusters, every cluster is scheduled afresh, with keys
+built only for the clusters that gained, and the levels whose batches
+change are rebuilt.  The steps run a full compile's levels and batches,
+and a pursuit compiles once.  Message mode rebuilds its state each round.
 """
 
 from __future__ import annotations
@@ -81,10 +84,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain, groupby, islice, repeat
 from math import prod
+from operator import mul
 from numbers import Integral
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -212,20 +215,22 @@ class _Store:
         # Each variable's owner, the smallest then lexicographically first
         # table containing it, found when first decoding and kept up to date.
         self._owner: dict[int, Cluster] | None = None
+        self._offsets = np.zeros(0, np.intp)
         self.grow(tables)
 
     def grow(self, tables: Mapping[Cluster, np.ndarray]) -> tuple[list[Cluster], bool]:
         """Store the tables of ``tables`` not stored yet, after the stored
-        ones.  Returns them and whether the array was reallocated.  Raises
-        :class:`InvalidModelError`, storing nothing, when one has a
+        ones; a caller passes only the tables it added, so the work grows
+        with them.  Returns them and whether the array was reallocated.
+        Raises :class:`InvalidModelError`, storing nothing, when one has a
         non-finite entry or, with cardinalities, the wrong shape."""
         new = [t for t in tables if t not in self.where]
         start, cards, shapes = self.used, self.cardinalities, {}
         for t in new if cards is not None else ():
-            if not all(0 <= v < len(cards) for v in t):
+            if t and (min(t) < 0 or max(t) >= len(cards)):
                 raise InvalidModelError(f"table for cluster {t}: variables outside "
                                         f"the graph's {len(cards)}")
-            if tables[t].shape != table_shape(t, cards):
+            if tables[t].shape != tuple(map(cards.__getitem__, t)):
                 raise InvalidModelError(f"table for cluster {t} has shape "
                                         f"{tables[t].shape}, expected {table_shape(t, cards)}")
         values = [tables[t] for t in new]
@@ -242,19 +247,26 @@ class _Store:
             bad = [t for t in new if not np.isfinite(tables[t]).all()]
             raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
         moved, self.buf = buf is not self.buf, buf
+        offsets = []
         for t in new:
             self.where[t], shape = self.used, tables[t].shape
             self.shape[t] = shape = shapes.setdefault(shape, shape)
+            offsets.append(self.used)
             self.used += prod(shape)
         if self._owner is None or self._claim(new):  # else the decoder stays valid
             self._decoder: list[tuple] | None = None
-        self._offsets = np.fromiter(self.where.values(), np.intp, len(self.where))
+        self._offsets = np.concatenate([self._offsets, np.array(offsets, np.intp)])
         return new, moved
 
     def bind(self, tables: dict[Cluster, np.ndarray], clusters: Iterable[Cluster]) -> None:
-        """Point ``tables[t]`` at its view into the store, for each ``t``."""
-        for t in clusters:
-            tables[t] = self.view(t)
+        """Point ``tables[t]`` at its view into the store, for each of
+        ``clusters``, stored one after another in store order: each run of
+        one shape is one view, whose rows are the tables."""
+        for shape, run in groupby(clusters, self.shape.__getitem__):
+            run = list(run)
+            start, size = self.where[run[0]], prod(shape)
+            rows = self.buf[start:start + len(run) * size].reshape(len(run), *shape)
+            tables.update(zip(run, rows))
 
     def view(self, t: Cluster) -> np.ndarray:
         """Table ``t`` as a view into the store."""
@@ -384,30 +396,40 @@ def dual_decrease(beliefs: BeliefState, c: Cluster, sub_clusters: Sequence[Clust
     return separate - float(joint.max())
 
 
-def _template(shape: tuple[int, ...], layout: tuple, roles: int, cache: dict) -> tuple:
+def _projection(shape: tuple[int, ...], kept: tuple[int, ...], cache: dict) -> tuple:
+    """For a table of ``shape`` and a sub keeping its axes ``kept``: the sub
+    cell each cell projects to, and a column per sub cell listing the cells
+    projecting to it."""
+    key = ("projection", shape, kept)
+    if key not in cache:
+        sub = np.arange(prod(shape[i] for i in kept)).reshape([shape[i] for i in kept])
+        embed = tuple(slice(None) if i in kept else None for i in range(len(shape)))
+        dropped = [i for i in range(len(shape)) if i not in kept]
+        cells = np.arange(prod(shape)).reshape(shape).transpose([*kept, *dropped])
+        cache[key] = (np.broadcast_to(sub[embed], shape).reshape(-1),
+                      cells.reshape(sub.size, -1).T)
+    return cache[key]
+
+
+def _template(shape: tuple[int, ...], layout: tuple, cache: dict) -> tuple:
     """Index maps shared by one table shape and sub layout (the kept axes of
     each sub).  ``gather``: per role, the cell itself or the sub cell each
-    cell projects to (zero in padded rows).  ``groups``: per depth (cells
-    per sub cell), a column per sub cell listing the cells projecting to
-    it.  ``place``: each sub's depth and first column."""
-    key = (shape, layout, roles)
+    cell projects to.  ``groups``: per depth (cells per sub cell), a column
+    per sub cell listing the cells projecting to it.  ``place``: each sub's
+    depth, first column and the columns of its depth.  Each sub's maps are
+    built once per shape (:func:`_projection`)."""
+    key = (shape, layout)
     if key not in cache:
-        cells = prod(shape)
-        gather = np.zeros((roles, cells), dtype=np.intp)
-        gather[0] = np.arange(cells)
+        codes, by_cells = zip(*(_projection(shape, kept, cache) for kept in layout))
+        gather = np.stack([np.arange(prod(shape)), *codes])
         groups: dict[int, list[np.ndarray]] = {}
         place = []
-        for r, kept in enumerate(layout, 1):
-            sub = np.arange(prod(shape[i] for i in kept)).reshape([shape[i] for i in kept])
-            embed = tuple(slice(None) if i in kept else None for i in range(len(shape)))
-            gather[r] = np.broadcast_to(sub[embed], shape).reshape(-1)
-            dropped = [i for i in range(len(shape)) if i not in kept]
-            by_cell = gather[0].reshape(shape).transpose([*kept, *dropped]).reshape(sub.size, -1).T
+        for by_cell in by_cells:
             columns = groups.setdefault(len(by_cell), [])
             place.append((len(by_cell), sum(c.shape[1] for c in columns)))
             columns.append(by_cell)
-        groups = {d: np.concatenate(columns, axis=1) for d, columns in groups.items()}
-        cache[key] = (gather, groups, place)
+        groups = {d: _joined(columns) for d, columns in groups.items()}
+        cache[key] = (gather, groups, [(d, column, groups[d].shape[1]) for d, column in place])
     return cache[key]
 
 
@@ -416,67 +438,86 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class _Level:
-    """The block updates of one level (``batches``: members by table shape
-    and sub layout) as one step over a :class:`_Store`; a call returns the
-    smallest drop.  It gathers ``X``, one row per role and one column per
-    member cell: the members' tables, then each member's ``r``-th sub
-    broadcast into its cells (the store's zero cell past its last sub).  New
-    sub-table cells are one maximum per depth (cells projecting to one) over
-    a ``(depth, new cells)`` gather of the joint, scaled by their member's
-    ``1/|S|``, and gathered back into ``X`` to subtract; ``X`` is then
-    scattered to the store.  Each member's drop comes from its role maxima,
-    ``(roles, members)``, summed with one accumulate per call when the part
-    has at most ``_SUM_MEMBERS`` members per sub past the first
-    (:attr:`accumulate`), else one role at a time."""
+    """The block updates of one level as one step over a :class:`_Store`; a
+    call returns the smallest drop.  ``batches`` maps each (table shape, sub
+    layout) to its members' offsets, ``(1 + subs, members)``: each member's
+    table, then its subs in order (:func:`_member_offsets`).  A step gathers
+    ``X``, one row per role and one column per member cell: the members'
+    tables, then each member's ``r``-th sub broadcast into its cells (the
+    store's zero cell past its last sub).  New sub-table cells are one
+    maximum per depth (cells projecting to one) over a ``(depth, new
+    cells)`` gather of the joint, scaled by their member's ``1/|S|``, and
+    gathered back into ``X`` to subtract; ``X`` is then scattered to the
+    store.  Each member's drop comes from its role maxima, ``(roles,
+    members)``, summed with one accumulate per call when the part has at
+    most ``_SUM_MEMBERS`` members per sub past the first
+    (:attr:`accumulate`), else one role at a time.  :meth:`extended` makes
+    the part with more members from the offsets it keeps."""
 
-    def __init__(self, store: _Store, batches: Mapping[tuple, list[Cluster]],
-                 subs_of: Callable[[Cluster], Sequence[Cluster]], templates: dict):
-        self.store = store
+    def __init__(self, store: _Store, batches: Mapping[tuple, np.ndarray], templates: dict):
+        self.store, self.templates = store, templates
         self.K = K = max(len(layout) for _, layout in batches)
-        found = [(members, _template(shape, layout, K + 1, templates))
-                 for (shape, layout), members in batches.items()]
+        found = [(key, offsets, _template(*key, templates)) for key, offsets in batches.items()]
         counts: dict[int, int] = {}
-        for members, (_, groups, _) in found:
+        for _, offsets, (_, groups, _) in found:
             for d, columns in groups.items():
-                counts[d] = counts.get(d, 0) + len(members) * columns.shape[1]
+                counts[d] = counts.get(d, 0) + offsets.shape[1] * columns.shape[1]
         # The new cells, past a zero at 0: by depth, then batch, member, sub.
         depths = sorted(counts)
-        bounds = dict(zip(depths, np.cumsum([1] + [counts[d] for d in depths]).tolist()))
+        bounds = dict(zip(depths, accumulate([1] + [counts[d] for d in depths])))
         self.size = 1 + sum(counts.values())
-        self.gather, self.depths, deltas, cells, blocks = [], {}, [], [], {}
-        first = 0
-        for members, (gather, groups, place) in found:
-            n, N, k = len(members), gather.shape[1], len(place)
-            touched = chain.from_iterable((c, *subs_of(c)) for c in members)
-            offsets = np.zeros((K + 1, n), dtype=np.intp)
-            offsets[:k + 1] = np.fromiter(
-                map(store.where.__getitem__, touched), np.intp, n * (k + 1)
-            ).reshape(n, k + 1).T
-            member_base = first + N * np.arange(n)
-            base = {}
+        self.keys, self.gather, self.depths, blocks = [], [], {}, {}
+        members = np.array([offsets.shape[1] for _, offsets, _ in found])
+        self.cells = np.array([gather.shape[1] for _, _, (gather, _, _) in found]).repeat(members)
+        self.starts = self.cells.cumsum() - self.cells
+        self.width = int(self.starts[-1] + self.cells[-1])
+        # Each member's store offsets, the zero cell past its last sub.
+        self.offsets = np.zeros((K + 1, len(self.cells)), dtype=np.intp)
+        # Per batch and role, where the batch's first new sub-table starts
+        # and how far each next member's is.
+        starts, strides = [], []
+        lo = 0
+        for key, offsets, (gather, groups, place) in found:
+            n, k = offsets.shape[1], len(place)
+            starts.append([bounds[d] + column for d, column, _ in place] + [0] * (K - k))
+            strides.append([w for _, _, w in place] + [0] * (K - k))
             for d, columns in groups.items():
-                self.depths.setdefault(d, []).append((columns, member_base))
-                base[d] = bounds[d]
-                bounds[d] += n * columns.shape[1]
+                self.depths.setdefault(d, []).append((columns, self.starts[lo:lo + n]))
                 blocks.setdefault(d, []).append((1.0 / k, n * columns.shape[1]))
-            # Where each role's new sub-table starts, minus its store offset.
-            delta = np.zeros((K, n), dtype=np.intp)
-            for r, (d, column) in enumerate(place):
-                delta[r] = base[d] + column + groups[d].shape[1] * np.arange(n) - offsets[r + 1]
-            self.gather.append((gather, offsets))
-            deltas.append(delta)
-            cells += [N] * n
-            first += N * n
+                bounds[d] += n * columns.shape[1]
+            self.offsets[:k + 1, lo:lo + n] = offsets
+            self.keys.append(key)
+            self.gather.append((gather, self.offsets[:k + 1, lo:lo + n]))
+            lo += n
         self.depths = sorted(self.depths.items())
         self.inv, self.new_cells = map(np.array, zip(*(b for d in depths for b in blocks[d])))
-        self.delta = np.concatenate(deltas, axis=1)
-        self.cells = np.array(cells, dtype=np.intp)
-        self.starts = np.cumsum(self.cells) - self.cells
-        self.accumulate = len(cells) <= _SUM_MEMBERS * (K - 1)
+        # Where each role's new sub-table starts, minus its store offset.
+        index = np.arange(lo) - (members.cumsum() - members).repeat(members)
+        self.delta = np.array(strides).T.repeat(members, axis=1) * index
+        self.delta += np.array(starts).T.repeat(members, axis=1)
+        self.delta -= self.offsets[1:]
+        self.accumulate = len(self.cells) <= _SUM_MEMBERS * (K - 1)
         # Cells of the maps a call builds (``G``, the ``Q``s, ``R`` and the
         # scale), and the maps themselves if the compiled sweep keeps them.
-        self.map_cells = (2 * K + 1) * first + sum(d * n for d, n in counts.items()) + self.size - 1
+        self.map_cells = ((2 * K + 1) * self.width + sum(d * n for d, n in counts.items())
+                          + self.size - 1)
         self.kept: tuple | None = None
+
+    def fits(self, batches: Mapping[tuple, np.ndarray]) -> bool:
+        """Whether this part with the members of ``batches`` added stays
+        within ``_PART_CELLS`` cells times roles."""
+        roles = 1 + max(self.K, *(len(layout) for _, layout in batches))
+        cells = sum(prod(shape) * offsets.shape[1] for (shape, _), offsets in batches.items())
+        return roles * (self.width + cells) <= _PART_CELLS
+
+    def extended(self, batches: Mapping[tuple, np.ndarray]) -> _Level:
+        """This part with the members of ``batches`` (keyed and laid out as
+        the constructor's) added after its own, from its kept offsets; the
+        new members must touch tables no member of this part touches."""
+        merged = {key: offsets for key, (_, offsets) in zip(self.keys, self.gather)}
+        for key, offsets in batches.items():
+            merged[key] = np.hstack([merged[key], offsets]) if key in merged else offsets
+        return _Level(self.store, merged, self.templates)
 
     def maps(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
         """The index maps of a call: ``G`` gathers ``X`` from the store, each
@@ -484,7 +525,15 @@ class _Level:
         role's new sub-table cell back into ``X``; with them the scale of
         each new cell, ``1/|S|`` of its member."""
         K = self.K
-        G = _joined([(g[:, None, :] + o[:, :, None]).reshape(K + 1, -1) for g, o in self.gather])
+        pieces = [(g[:, None, :] + o[:, :, None]).reshape(len(g), -1) for g, o in self.gather]
+        if len(pieces) == 1 and len(pieces[0]) == K + 1:
+            G = pieces[0]
+        else:  # past a member's last sub, the zero cell
+            G = np.zeros((K + 1, self.width), dtype=np.intp)
+            lo = 0
+            for piece in pieces:
+                G[:len(piece), lo:lo + piece.shape[1]] = piece
+                lo += piece.shape[1]
         Qs = [_joined([(q[:, None, :] + b[:, None]).reshape(d, -1) for q, b in parts])
               for d, parts in self.depths]
         R = np.repeat(self.delta, self.cells, axis=1)
@@ -543,8 +592,9 @@ def update_cluster_beliefs(
     if not subs:
         return 0.0
     layout = tuple(tuple(map(c.index, s)) for s in subs)
-    drop = _Level(store, {(store.shape[c], layout): [c]}, lambda _: subs, {})()
-    store.bind(beliefs, (c, *subs))
+    offsets = _member_offsets(store, [c], lambda _: subs)
+    drop = _Level(store, {(store.shape[c], layout): offsets}, {})()
+    store.bind(beliefs, list(store.where))
     return drop
 
 
@@ -600,26 +650,42 @@ def _schedule(
     cardinalities: Sequence[int],
     levels: dict[Cluster, int],
     batches: dict[int, dict[tuple, list[Cluster]]],
+    known: Mapping[Cluster, tuple] | None = None,
 ) -> set[int]:
     """Add the updating clusters among ``clusters`` to their levels in
     ``batches``, by table shape and sub layout; returns the changed levels.
     ``levels``, the level of the latest cluster touching each table, is
-    updated, so appended clusters land where a full schedule puts them."""
+    updated, so appended clusters land where a full schedule puts them.
+    ``known`` holds (shape, layout) keys of an earlier schedule, kept for
+    each cluster with as many subs as then (subs are only ever added)."""
     changed = set()
+    known = {} if known is None else known
     for c in clusters:
         subs = spec.proper_subs_of(c)
         if not subs:
             continue
         touched = (c, *subs)
-        level = 1 + max(levels.get(t, 0) for t in touched)
+        level = 1 + max(map(levels.get, touched, repeat(0)))
         for t in touched:
             levels[t] = level
-        # Each sub's kept axes: its variables' positions in c, increasing
-        # since both are sorted.
-        key = (table_shape(c, cardinalities), tuple([tuple(map(c.index, s)) for s in subs]))
+        key = known.get(c)
+        if key is None or len(key[1]) != len(subs):
+            # Each sub's kept axes: its variables' positions in c,
+            # increasing since both are sorted.
+            key = (table_shape(c, cardinalities), tuple([tuple(map(c.index, s)) for s in subs]))
         batches.setdefault(level, {}).setdefault(key, []).append(c)
         changed.add(level)
     return changed
+
+
+def _member_offsets(store: _Store, members: Sequence[Cluster],
+                    subs_of: Callable[[Cluster], Sequence[Cluster]]) -> np.ndarray:
+    """``(1 + subs, members)``: each member's table offset in ``store``,
+    then its subs' (all members of one batch have as many subs)."""
+    n, k = len(members), len(subs_of(members[0]))
+    touched = chain.from_iterable((c, *subs_of(c)) for c in members)
+    return np.fromiter(map(store.where.__getitem__, touched), np.intp,
+                       n * (k + 1)).reshape(n, k + 1).T
 
 
 # Cells times roles one part of a step gathers at most, so a call's arrays
@@ -666,10 +732,12 @@ class _Sweep:
     """The compiled belief-mode sweep of ``spec`` over ``state``, whose
     tables it stores and points at their views: :attr:`steps` holds, per
     level, the :class:`_Level` parts that run it.  :meth:`grow` follows a
-    spec grown from the last one over the same state and leaves a full
-    compile's steps.  Parts keep their index maps and scale while
-    :attr:`kept_cells` stays within ``_KEPT_CELLS``; a rebuilt level gives
-    its kept cells back."""
+    spec grown from the last one over the same state and leaves steps
+    that run a full compile's levels and batches, split into parts
+    differently perhaps, which changes no result: the members of a level
+    touch disjoint tables and a step returns a minimum.  Parts keep their
+    index maps and scale while :attr:`kept_cells` stays within
+    ``_KEPT_CELLS``; a replaced part gives its kept cells back."""
 
     def __init__(self, spec: RelaxationSpec, state: BeliefState,
                  cardinalities: Sequence[int]):
@@ -685,47 +753,97 @@ class _Sweep:
         self.grow(spec, False)
 
     def grow(self, spec: RelaxationSpec, gained: bool) -> None:
-        """Store the state's new tables and follow ``spec``, the last spec
-        with clusters appended and, if ``gained``, subs added to existing
-        ones.  Appended clusters alone take their levels from the kept
-        level map; a gain schedules every cluster afresh and rebuilds the
-        levels whose batches changed.  A grown spec has no fewer levels:
-        its clusters only touch more tables."""
-        new, moved = self.store.grow(self.state)
+        """Store the tables appended to the state since the last call and
+        follow ``spec``, the last spec with clusters appended and, if
+        ``gained``, subs added to existing ones.  Appended clusters alone
+        take their levels from the kept level map, and each level they join
+        keeps its parts: the new members extend its last part, or make new
+        parts where they do not fit, so a round's work grows with what it
+        added.  A gain schedules every cluster afresh, building keys only
+        for the clusters that gained subs, and rebuilds the levels whose
+        batches changed.  A grown spec has no
+        fewer levels: its clusters only touch more tables."""
+        stored = len(self.store.where)
+        new, moved = self.store.grow({t: self.state[t] for t in islice(self.state, stored, None)})
         self.store.bind(self.state, list(self.store.where) if moved else new)
-        clusters, previous = spec.extended_clusters[self.clusters:], None
+        subs_of = spec.proper_subs_of
         if gained:
-            clusters, previous = spec.extended_clusters, self.batches
-            self.levels, self.batches = {}, {}
-        changed = _schedule(spec, clusters, self.cardinalities, self.levels, self.batches)
-        if previous is not None:
-            changed = {level for level in changed if list(self.batches[level].items())
-                       != list(previous.get(level, {}).items())}
-        for level in sorted(changed):
-            if level <= len(self.steps):
-                self.kept_cells -= sum(p.map_cells for p in self.steps[level - 1] if p.kept)
-            parts = [_Level(self.store, part, spec.proper_subs_of, self._templates)
-                     for part in _parts(self.batches[level])]
-            for p in parts:
-                if self.kept_cells + p.map_cells <= _KEPT_CELLS:
-                    p.kept = p.maps()
-                    self.kept_cells += p.map_cells
-            self.steps[level - 1:level] = [parts]
+            previous, self.levels, self.batches = self.batches, {}, {}
+            known = {c: key for by_key in previous.values()
+                     for key, members in by_key.items() for c in members}
+            changed = _schedule(spec, spec.extended_clusters, self.cardinalities,
+                                self.levels, self.batches, known)
+            for level in sorted(changed):
+                if list(self.batches[level].items()) != list(previous.get(level, {}).items()):
+                    self._place(level, [_Level(self.store, self._offsets(part, subs_of),
+                                               self._templates)
+                                        for part in _parts(self.batches[level])])
+        else:
+            added: dict[int, dict[tuple, list[Cluster]]] = {}
+            _schedule(spec, spec.extended_clusters[self.clusters:], self.cardinalities,
+                      self.levels, added)
+            for level, batches in sorted(added.items()):
+                into = self.batches.setdefault(level, {})
+                for key, members in batches.items():
+                    into.setdefault(key, []).extend(members)
+                fresh = [self._offsets(part, subs_of) for part in _parts(batches)]
+                parts = self.steps[level - 1] if level <= len(self.steps) else []
+                if parts and parts[-1].fits(fresh[0]):
+                    parts = [*parts[:-1], parts[-1].extended(fresh.pop(0))]
+                self._place(level, [*parts, *(_Level(self.store, offsets, self._templates)
+                                              for offsets in fresh)])
         self.clusters = len(spec.extended_clusters)
+
+    def _offsets(self, batches: Mapping[tuple, list[Cluster]],
+                 subs_of: Callable[[Cluster], Sequence[Cluster]]) -> dict[tuple, np.ndarray]:
+        return {key: _member_offsets(self.store, members, subs_of)
+                for key, members in batches.items()}
+
+    def _place(self, level: int, parts: list[_Level]) -> None:
+        """Make ``parts`` the steps of ``level``: the parts they replace give
+        back their kept cells, and new parts keep theirs while they fit."""
+        old = self.steps[level - 1] if level <= len(self.steps) else []
+        self.kept_cells -= sum(p.map_cells for p in old if p.kept and p not in parts)
+        for p in parts:
+            if p.kept is None and p not in old and self.kept_cells + p.map_cells <= _KEPT_CELLS:
+                p.kept = p.maps()
+                self.kept_cells += p.map_cells
+        self.steps[level - 1:level] = [parts]
 
 
 class _Primal:
-    """:func:`energy` with the lookups prepared once: each potential's
-    entry at the decoded states, added left to right in potential order."""
+    """:func:`energy` with its lookups prepared once: one gather of each
+    potential's entry at the decoded states (the potentials' tables laid
+    end to end, each entry at its table's base plus the states times the
+    table's strides), added left to right in potential order with one
+    sequential accumulate from ``0.0``, as :meth:`_Store.dual` adds."""
 
     def __init__(self, graph: FactorGraph):
-        self.lookups = [(p.values.item, itemgetter(*p.scope)) for p in graph.potentials]
+        potentials = graph.potentials
+        count, width = len(potentials), max((len(p.scope) for p in potentials), default=0)
+        # Per potential and axis, zero past its last: the variable, and the
+        # row-major stride (the product of the axis lengths past the axis).
+        pads = [(0,) * (width - n) for n in range(width + 1)]
+        strides_of = {}
+        for shape in {p.values.shape for p in potentials}:
+            past = accumulate(reversed(shape[1:]), mul, initial=1)
+            strides_of[shape] = (*reversed(list(past)), *pads[len(shape)])
+        self.variables = np.fromiter(chain.from_iterable(
+            p.scope + pads[len(p.scope)] for p in potentials), np.intp, count * width)
+        self.variables = self.variables.reshape(count, width)
+        self.strides = np.fromiter(chain.from_iterable(
+            strides_of[p.values.shape] for p in potentials), np.intp, count * width)
+        self.strides = self.strides.reshape(count, width)
+        self.base = np.fromiter(accumulate((p.values.size for p in potentials), initial=0),
+                                np.intp, count)
+        self.values = np.concatenate([np.zeros(0), *(p.values.ravel() for p in potentials)])
 
-    def __call__(self, states: list[int]) -> float:
-        total = 0.0
-        for entry, scope_states in self.lookups:
-            total += entry(scope_states(states))
-        return total
+    def __call__(self, states: Sequence[int]) -> float:
+        if not self.base.size:
+            return 0.0
+        x = np.asarray(states, dtype=np.intp)
+        entries = self.values[self.base + (x[self.variables] * self.strides).sum(axis=1)]
+        return 0.0 + np.add.accumulate(entries)[-1].item()
 
 
 def run(

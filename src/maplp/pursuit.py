@@ -10,24 +10,30 @@ single block update of the union would achieve from its zero table
 (:func:`maplp.engine.dual_decrease`), and the best few are added per round.
 
 What a round costs.  The candidate search is batched over the current
-beliefs (Sontag, Choe & Li, UAI 2012) through an index of the spec: one
-argmax per shape of parents, one gather projecting every edge, and a
-Python pair loop only over the tables whose senders disagree, with common
-parents taken from the same edges; each union's sub-clusters and scoring
-layout are found once.  :func:`run_with_pursuit` keeps one search index
-and, in belief mode, one compiled sweep (:mod:`maplp.engine`), and tells
-both what each round added, so each grows in place; specs carry neither.
+beliefs (Sontag, Choe & Li, UAI 2012) through an index of the spec that
+reads every table from one flat array: in belief mode the compiled
+sweep's own store, read in place, else the tables packed once.  It makes
+one pass for non-finite entries, one argmax gather per shape of parents,
+one gather projecting every edge, pairs in numpy the edges into each
+disagreeing table whose projections differ, and scores the unions with
+one padded gather per union shape; Python only tests the pairs left for
+a common parent and forms their unions.  Each union's sub-clusters and
+gather layout are found once, and a table added inside a cached union is
+inserted into its layout.  :func:`run_with_pursuit` keeps one search index and, in
+belief mode, one compiled sweep (:mod:`maplp.engine`), and tells both what
+each round added, so each grows by that alone; specs carry neither.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain
+from math import prod
 from numbers import Integral
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,21 +45,24 @@ from .engine import (
     _check_model,
     _check_shapes,
     _check_support,
-    _embed_index,
     _Primal,
+    _projection,
     _run,
     _Sweep,
-    _template,
     _TraceEnd,
     init_beliefs,
     init_messages,
 )
 from .factor_graph import Cluster, FactorGraph, InvalidModelError, table_shape
-from .relaxations import RelaxationSpec, _canonical, _inside
+from .relaxations import RelaxationSpec
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_UNION_ORDER_CAP = 8
+
+# Cells times sub roles one score gather reads at most, so that its arrays
+# stay within 32 KiB each; more unions of one shape are scored in turns.
+_GATHER_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -88,13 +97,13 @@ def stealth_candidates(
     its first pair; results are sorted by descending score, then
     lexicographic union.
 
-    The search is batched over an index of the spec (see
-    :class:`_SearchIndex`): one argmax per shape of parents, one gather
-    projecting every edge, and a pair loop over the tables whose senders
-    disagree.  Unions are scored in one numpy update per union order and
-    sub-cluster layout, with the float operations of
-    :func:`~maplp.engine.dual_decrease` on a zero union table, so scores
-    are bit-identical to it.  Raises ``ValueError``
+    The search packs the tables into one flat array and is batched over
+    an index of the spec (see :class:`_SearchIndex`): one argmax per shape
+    of parents, one gather projecting every edge, and the pairs of edges
+    into each disagreeing table found in numpy.  Unions are scored with
+    one padded gather per union shape, with the float operations of
+    :func:`~maplp.engine.dual_decrease` on a zero union table up to the
+    sign of a zero, so scores are bit-identical to it.  Raises ``ValueError``
     unless ``max_order`` is an integer >= 1, :class:`CoverageError` when a
     support cluster has no table, and :class:`InvalidModelError` when a
     support table has not one axis per variable of its cluster or an axis
@@ -104,24 +113,23 @@ def stealth_candidates(
     _check_max_order(max_order)
     _check_support(beliefs, spec.support)
     _check_shapes(beliefs, spec.support)
-    return _candidates(_SearchIndex(spec, beliefs), beliefs, max_order)
+    index = _SearchIndex(spec, beliefs)
+    return _candidates(index, index.pack(beliefs), max_order)
 
 
-def _candidates(index: _SearchIndex, beliefs: BeliefState,
-                max_order: int) -> list[StealthCandidate]:
-    """:func:`stealth_candidates` over ``index``, for tables of the shapes
-    it was built and grown with."""
+def _candidates(index: _SearchIndex, buf: np.ndarray, max_order: int) -> list[StealthCandidate]:
+    """:func:`stealth_candidates` over ``index``, reading the tables from
+    ``buf`` in the index's layout (see :class:`_SearchIndex`)."""
+    order, offset = index.order, index.offset
     # One pass over every support table, read or not.
-    order = index.order
-    tables = list(map(beliefs.__getitem__, order))
-    if not np.isfinite(np.concatenate(tables, axis=None)).all():
-        bad = [t for t in order if not np.isfinite(beliefs[t]).all()]
+    if not np.isfinite(buf[:index.used]).all():
+        bad = [t for t, i, n in zip(order, offset.tolist(), map(prod, index.shapes))
+               if not np.isfinite(buf[i:i + n]).all()]
         raise InvalidModelError(f"tables for clusters {bad}: non-finite entries")
-    # Each parent's decoded cell, by shape; each edge's projection of it.
+    # Each parent's decoded cell, one gather per shape; each edge's projection of it.
     flat = np.empty(len(order), dtype=np.intp)
-    for ts, rows in index.groups.values():
-        stack = np.array(list(map(beliefs.__getitem__, ts)), dtype=np.float64)
-        flat[rows] = stack.reshape(len(ts), -1).argmax(axis=1)
+    for cells, rows in index.groups.values():
+        flat[rows] = buf[offset[rows][:, None] + cells].argmax(axis=1)
     parent, table, code = index.edges
     proj = index.codes[code + flat[parent]]
     # A table disagrees when some edge differs from one edge, any, into it.
@@ -129,36 +137,53 @@ def _candidates(index: _SearchIndex, beliefs: BeliefState,
     some[table] = proj
     marked[table[proj != some[table]]] = True
     hit = np.flatnonzero(marked[table])
-    sent: dict[Cluster, list[tuple[Cluster, int, int]]] = {}
-    for k, i, p in zip(table[hit].tolist(), parent[hit].tolist(), proj[hit].tolist()):
-        sent.setdefault(order[k], []).append((order[i], p, i))
+    # Every pair of edges into one disagreeing table whose projections differ.
+    hit = hit[np.argsort(table[hit], kind="stable")]
+    a, b = _pairs(table[hit])
+    a, b = hit[a], hit[b]
+    differ = proj[a] != proj[b]
+    shared, r1, r2 = table[a[differ]], parent[a[differ]], parent[b[differ]]
     # Two clusters have a common parent when the rows sending to them meet.
-    above: defaultdict[int, set[int]] = defaultdict(set)
+    above: dict[int, set[int]] = {}
     marked[:] = False
     marked[parent[hit]] = True
     up = np.flatnonzero(marked[table])
     for k, i in zip(table[up].tolist(), parent[up].tolist()):
-        above[k].add(i)
+        above.setdefault(k, set()).add(i)
 
+    # Each union keeps its first pair in (shared table, parent, parent) order.
     first: dict[Cluster, tuple[Cluster, Cluster, Cluster]] = {}
     skipped_large = 0
-    for t in sorted(sent):
-        for (c1, p1, r1), (c2, p2, r2) in combinations(sorted(sent[t]), 2):
-            if p1 == p2 or not above[r1].isdisjoint(above[r2]):
-                continue
-            union = tuple(sorted(set(c1) | set(c2)))
-            if len(union) > max_order:
-                skipped_large += 1
-                continue
-            first.setdefault(union, (c1, c2, t))
+    for k, i, j in zip(shared.tolist(), r1.tolist(), r2.tolist()):
+        if not above.get(i, set()).isdisjoint(above.get(j, ())):
+            continue
+        c1, c2 = order[i], order[j]
+        if c2 < c1:
+            c1, c2 = c2, c1
+        union = tuple(sorted({*c1, *c2}))
+        if len(union) > max_order:
+            skipped_large += 1
+            continue
+        pair = (order[k], c1, c2)
+        if union not in first or pair < first[union]:
+            first[union] = pair
     if skipped_large:
         logger.warning("dropped %d stealth candidates above union order cap %d",
                        skipped_large, max_order)
-    layouts = {u: index.union(beliefs, u) for u in first}
-    scores = _union_scores(beliefs, layouts)
-    found = [StealthCandidate((c1, c2), t, u, layouts[u][0], scores[u])
-             for u, (c1, c2, t) in first.items()]
+    layouts = list(map(index.union, first))
+    found = [StealthCandidate((c1, c2), t, u, subs, score)
+             for u, (t, c1, c2), (subs, *_), score
+             in zip(first, first.values(), layouts, index.scores(buf, layouts))]
     return sorted(found, key=lambda c: (-c.score, c.union))
+
+
+def _pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``a < b`` of every two equal entries of the sorted ``keys``."""
+    n = len(keys)
+    bounds = np.concatenate([[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [n]])
+    later = np.repeat(bounds[1:], bounds[1:] - bounds[:-1]) - np.arange(n) - 1
+    a = np.repeat(np.arange(n), later)
+    return a, a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
 
 
 def _check_max_order(max_order: int) -> None:
@@ -167,97 +192,159 @@ def _check_max_order(max_order: int) -> None:
 
 
 class _SearchIndex:
-    """What the search keeps of a spec and its table shapes.  A row is a
-    table's position in :attr:`order`, the support as it grew;
-    :attr:`first` holds the support tables by smallest variable.
-    :attr:`groups` holds the parents (:attr:`sends`) and their rows by
-    shape.  Each :attr:`edges` column is a (parent, proper sub) edge: both
-    rows and where its code table, the cell each parent cell projects to,
-    starts in :attr:`codes`.  :attr:`unions` keeps each union's subs and
-    batch, and :attr:`holding` the cached unions by variable.
-    :func:`run_with_pursuit` keeps one index across its rounds and grows
-    it by what each round adds."""
+    """What the search keeps of a spec and its table shapes, and the layout
+    it reads the tables in: one flat float64 array, cell 0 zero, then the
+    rows end to end, row ``i`` at :attr:`offset` ``[i]`` (also :attr:`at`
+    by table) and :attr:`used` cells in all.  A row is a table's position
+    in :attr:`order`, the support as it grew.  A belief-mode pursuit's
+    store was built from the support in that order and grows by the same
+    tables in the same order, so the search reads the store's array in
+    place; :meth:`pack` lays out any other state.  :attr:`first` holds the
+    support tables by smallest variable and :attr:`length` each variable's
+    axis length.  :attr:`groups` holds the parent rows (:attr:`sends`) by
+    shape, with their cells.  Each :attr:`edges` column is a (parent,
+    proper sub) edge: both rows and where its code table, the cell each
+    parent cell projects to, starts in :attr:`codes`.  :attr:`unions`
+    keeps each union's subs, shape and its subs' code-table starts (one
+    tuple per layout, shared through :attr:`layouts`), which with
+    :attr:`at` is all a score reads; :attr:`holding` keeps the cached
+    unions by variable.  :func:`run_with_pursuit` keeps one index across its rounds
+    and grows it by what each round adds."""
 
     def __init__(self, spec: RelaxationSpec, beliefs: BeliefState):
-        self.order = list(spec.support)
-        self.shapes = [beliefs[t].shape for t in self.order]
-        self.row, self.sends = {t: i for i, t in enumerate(self.order)}, bytearray(len(self.order))
+        self.order, self.shapes, self.row, self.sends = [], [], {}, bytearray()
+        self.offset, self.used = np.zeros(0, np.intp), 1
+        self.at: dict[Cluster, int] = {}
+        self.length: dict[int, int] = {}
         self.first: dict[int, list[Cluster]] = {}
-        for t in self.order:
-            self.first.setdefault(t[0], []).append(t)
-        self.groups, self.code_at, self.unions, self.batches, self.holding = {}, {}, {}, {}, {}
+        self.groups, self.code_at, self.unions, self.holding = {}, {}, {}, {}
+        self.layouts: dict[tuple, tuple] = {}
         self.codes, self.edges = np.zeros(0, np.intp), np.zeros((3, 0), np.int32)
-        self._extend((c, s) for c in spec.extended_clusters for s in spec.proper_subs_of(c))
+        self.grow(((c, s) for c in spec.extended_clusters for s in spec.proper_subs_of(c)),
+                  spec.support, beliefs)
 
-    def grow(self, edges: list[tuple[Cluster, Cluster]], new: list[Cluster],
+    def pack(self, beliefs: BeliefState) -> np.ndarray:
+        """The tables of ``beliefs`` in this index's layout."""
+        return np.concatenate([np.zeros(1), *map(beliefs.__getitem__, self.order)], axis=None)
+
+    def grow(self, edges: Iterable[tuple[Cluster, Cluster]], new: Iterable[Cluster],
              beliefs: BeliefState) -> None:
         """Add the support tables ``new``, with their shapes in ``beliefs``,
-        and the (parent, proper sub) ``edges``."""
+        after the others, and the (parent, proper sub) ``edges``."""
+        offsets = []
         for t in new:
             self.row[t] = len(self.order)
             self.order.append(t)
-            self.shapes.append(beliefs[t].shape)
+            shape = beliefs[t].shape
+            self.shapes.append(shape)
+            self.length.update(zip(t, shape))
+            self.at[t] = self.used
+            offsets.append(self.used)
+            self.used += prod(shape)
             self.sends.append(0)
             self.first.setdefault(t[0], []).append(t)
-            for u in self.holding.get(t[0], ()):  # a table new strictly inside
-                if set(t) < set(u):               # a union changes its subs
-                    self.unions.pop(u, None)
+            for u in self.holding.get(t[0], ()):  # a table new strictly
+                if set(t) < set(u):               # inside a cached union
+                    self._insert(u, t)
+        self.offset = np.concatenate([self.offset, np.array(offsets, np.intp)])
         self._extend(edges)
 
+    def _insert(self, u: Cluster, t: Cluster) -> None:
+        """Make the new table ``t`` a sub of the cached union ``u``, in
+        canonical place."""
+        subs, shape, codes = self.unions[u]
+        i = bisect_left(subs, (len(t), t), key=lambda s: (len(s), s))
+        codes = (*codes[:i], self._code(shape, tuple(map(u.index, t))), *codes[i:])
+        self.unions[u] = ((*subs[:i], t, *subs[i:]), shape, self.layouts.setdefault(codes, codes))
+
+    def _code(self, shape: tuple[int, ...], kept: tuple[int, ...]) -> int:
+        """Where the code table of a sub keeping axes ``kept`` of a table of
+        ``shape`` starts in :attr:`codes`: the sub cell each cell projects
+        to (:func:`~maplp.engine._projection`), added on first use."""
+        key = (shape, kept)
+        if key not in self.code_at:
+            self.code_at[key] = self.codes.size
+            self.codes = np.concatenate([self.codes, _projection(shape, kept, {})[0]])
+        return self.code_at[key]
+
     def _extend(self, edges: Iterable[tuple[Cluster, Cluster]]) -> None:
-        """Add ``edges``, joining each new parent to its shape's group."""
-        codes, size, columns, joined = [self.codes], self.codes.size, [], {}
+        """Add ``edges``, joining each new parent to its shape's group; a
+        parent that is a cached union takes its code tables from its
+        layout."""
+        columns, joined, last = [], {}, None
         for c, s in edges:
-            i = self.row[c]
-            if not self.sends[i]:
-                self.sends[i] = 1
-                joined.setdefault(self.shapes[i], []).append(c)
-            key = (self.shapes[i], tuple(map(c.index, s)))
-            if key not in self.code_at:  # the gather row of a one-sub template
-                codes.append(_template(key[0], key[1:], 2, {})[0][1])
-                self.code_at[key], size = size, size + codes[-1].size
-            columns += (i, self.row[s], self.code_at[key])
-        for shape, cs in joined.items():
-            ts, rows = self.groups.get(shape, ([], ()))
-            self.groups[shape] = ([*ts, *cs], np.array([*rows, *map(self.row.get, cs)]))
-        self.codes = np.concatenate(codes)
+            if c != last:
+                last, i, codes = c, self.row[c], {}
+                if not self.sends[i]:
+                    self.sends[i] = 1
+                    joined.setdefault(self.shapes[i], []).append(i)
+                if c in self.unions:
+                    subs, _, layout = self.unions[c]
+                    codes = dict(zip(subs, layout))
+            code = codes.get(s)
+            if code is None:
+                code = self._code(self.shapes[i], tuple(map(c.index, s)))
+            columns += (i, self.row[s], code)
+        for shape, rows in joined.items():
+            cells, old = self.groups.get(shape, (np.arange(prod(shape)), ()))
+            self.groups[shape] = (cells, np.array([*old, *rows], np.intp))
         self.edges = np.hstack([self.edges, np.array(columns, np.int32).reshape(-1, 3).T])
 
-    def union(self, beliefs: BeliefState, u: Cluster) -> tuple:
-        """``u``'s subs (the support tables strictly inside it) and batch, found once."""
-        if u not in self.unions:
-            subs = _canonical(s for s in _inside(self.first, u) if s != u)
+    def union(self, u: Cluster) -> tuple:
+        """``u``'s subs (the support tables strictly inside it), its shape,
+        and where its subs' code tables start, shared by the unions of one
+        layout; found once, and a table added strictly inside a cached
+        union later is inserted (:meth:`grow`)."""
+        layout = self.unions.get(u)
+        if layout is None:
+            inside = set(u)
+            subs = sorted(t for v in u for t in self.first.get(v, ())
+                          if t != u and inside.issuperset(t))
+            subs.sort(key=len)
             axis = {v: i for i, v in enumerate(u)}.__getitem__
-            batch = (len(u), tuple((tuple(map(axis, s)), beliefs[s].shape) for s in subs))
-            self.unions[u] = (subs, self.batches.setdefault(batch, batch))  # one key per batch
-            if u not in self.holding.get(u[0], ()):
-                for v in u:
-                    self.holding.setdefault(v, []).append(u)
-        return self.unions[u]
+            shape = tuple(map(self.length.__getitem__, u))
+            codes = tuple([self._code(shape, tuple(map(axis, s))) for s in subs])
+            layout = self.unions[u] = (tuple(subs), shape, self.layouts.setdefault(codes, codes))
+            for v in u:
+                self.holding.setdefault(v, []).append(u)
+        return layout
 
-
-def _union_scores(beliefs: BeliefState, layouts: dict[Cluster, tuple]) -> dict[Cluster, float]:
-    """:func:`~maplp.engine.dual_decrease` of each union with its
-    sub-clusters at a zero union table, in one batch per union order and
-    sub layout (each sub's kept axes and table shape): per row, the same
-    left-to-right additions of the same tables, since adding to a zero
-    first changes no bit.  Every union has a sub-cluster: the one its pair
-    shares."""
-    batches: dict[tuple, list[Cluster]] = {}
-    for u, (_, batch) in layouts.items():
-        batches.setdefault(batch, []).append(u)
-    scores: dict[Cluster, float] = {}
-    for (_, layout), unions in batches.items():
-        n, u = len(unions), unions[0]
-        separate = np.zeros(n)
-        joint = None
-        for i in range(len(layout)):
-            bs = np.array([beliefs[layouts[v][0][i]] for v in unions], dtype=np.float64)
-            separate += bs.reshape(n, -1).max(axis=1)
-            piece = bs[(slice(None), *_embed_index(layouts[u][0][i], u))]
-            joint = piece.copy() if joint is None else joint + piece
-        scores.update(zip(unions, (separate - joint.reshape(n, -1).max(axis=1)).tolist()))
-    return scores
+    def scores(self, buf: np.ndarray, layouts: Sequence[tuple]) -> list[float]:
+        """:func:`~maplp.engine.dual_decrease` of each union, given by its
+        :meth:`union` layout, with its sub-clusters at a zero union table,
+        reading ``buf``: one padded gather per union shape, ``(unions, subs,
+        cells)``, each union's subs broadcast into its cells in sub order,
+        then the zero cell.  Per union, the joint adds the same tables in
+        the same order and then zeros, and the separate maxima are added in
+        order and then to ``0.0``: each can differ from the one-union sum
+        only in the sign of a zero, which neither ``separate`` (never
+        ``-0.0``) nor ``separate - max(joint)`` keeps, so scores are
+        bit-identical to it.  Every union has a sub-cluster: the one its
+        pair shares."""
+        by_shape: dict[tuple, list[int]] = {}
+        for j, layout in enumerate(layouts):
+            by_shape.setdefault(layout[1], []).append(j)
+        scores = [0.0] * len(layouts)
+        for shape, js in by_shape.items():
+            subs, codes = [layouts[j][0] for j in js], [layouts[j][2] for j in js]
+            count = np.fromiter(map(len, subs), np.intp, len(js))
+            used = np.arange(count.max()) < count[:, None]
+            offsets = np.zeros(used.shape, np.intp)
+            offsets[used] = np.fromiter(map(self.at.__getitem__, chain.from_iterable(subs)),
+                                        np.intp, used.sum())
+            gather = np.full(used.shape, self._code(shape, ()), np.intp)
+            gather[used] = np.fromiter(chain.from_iterable(codes), np.intp, used.sum())
+            cells = np.arange(prod(shape))
+            step = max(1, _GATHER_CELLS // (cells.size * used.shape[1]))
+            for lo in range(0, len(js), step):
+                index = self.codes[gather[lo:lo + step, :, None] + cells]
+                index += offsets[lo:lo + step, :, None]
+                tables = buf[index]
+                joint = np.add.accumulate(tables, axis=1)[:, -1]
+                separate = np.add.accumulate(tables.max(axis=2), axis=1)[:, -1] + 0.0
+                for j, score in zip(js[lo:lo + step], (separate - joint.max(axis=1)).tolist()):
+                    scores[j] = score
+        return scores
 
 
 @dataclass
@@ -339,7 +426,8 @@ def run_with_pursuit(
 
         if index is None:
             index = _SearchIndex(current, beliefs)
-        candidates = _candidates(index, beliefs, max_order)
+        buf = index.pack(beliefs) if sweep is None else sweep.store.buf
+        candidates = _candidates(index, buf, max_order)
         if time.perf_counter() - t0 > params.time_limit:
             truncated = True
             break

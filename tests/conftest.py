@@ -110,18 +110,20 @@ def random_clusters_graph(seed: int, max_vars: int = 12) -> FactorGraph:
 def route_search(monkeypatch, search):
     """Make each round of ``run_with_pursuit`` take its candidates from
     ``search(spec, beliefs, found, index)``: ``spec`` is the spec the round
-    just solved, ``index`` the search index pursuit keeps and ``found``
-    what pursuit's own search over it gives."""
+    just solved and ``beliefs`` its solved tables, ``index`` the search
+    index pursuit keeps and ``found`` what pursuit's own search over it
+    gives."""
     solved = []
     run, candidates = pursuit._run, pursuit._candidates
 
     def running(graph, spec, *args, **kwargs):
-        solved.append(spec)
-        return run(graph, spec, *args, **kwargs)
+        result = run(graph, spec, *args, **kwargs)
+        solved.append((spec, result.beliefs))
+        return result
 
-    def routed(index, beliefs, max_order):
-        found = candidates(index, beliefs, max_order)
-        return search(solved[-1], beliefs, found, index)
+    def routed(index, buf, max_order):
+        found = candidates(index, buf, max_order)
+        return search(*solved[-1], found, index)
 
     monkeypatch.setattr(pursuit, "_candidates", routed)
     monkeypatch.setattr(pursuit, "_run", running)

@@ -229,7 +229,8 @@ def checked_kept_index(monkeypatch, graph, params):
     result = run_with_pursuit(graph, dd_spec(graph), params)
     monkeypatch.undo()
     if result.spec is not rounds[-1][0]:
-        found = pursuit._candidates(kept[-1], result.beliefs, pursuit.DEFAULT_UNION_ORDER_CAP)
+        found = pursuit._candidates(kept[-1], kept[-1].pack(result.beliefs),
+                                    pursuit.DEFAULT_UNION_ORDER_CAP)
         recording(result.spec, result.beliefs, found, kept[-1])
     assert len(rounds) >= 3
     for spec, beliefs, got in rounds:
