@@ -84,7 +84,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import prod
 from operator import mul
 from numbers import Integral
@@ -99,6 +99,7 @@ from .factor_graph import (
     table_cells,
     table_shape,
     validate,
+    views,
 )
 from .relaxations import RelaxationSpec
 
@@ -181,11 +182,16 @@ def _max_axes(sub: Cluster, sup: Cluster) -> tuple[int, ...]:
 
 
 def init_beliefs(graph: FactorGraph, spec: RelaxationSpec) -> BeliefState:
-    """Tables equal the log-potentials on original clusters, zero elsewhere."""
-    tables = {t: np.zeros(table_shape(t, graph.cardinalities)) for t in spec.support}
+    """Tables equal the log-potentials on original clusters, zero elsewhere.
+    The originals are views of one copy of :attr:`FactorGraph.flat`, and
+    the zero tables views of one zero array, allocated at once."""
+    tables: BeliefState = dict.fromkeys(spec.support)
     _check_support(tables, graph.clusters)
-    for p in graph.potentials:
-        tables[p.scope] = p.values.copy()
+    shapes = [p.values.shape for p in graph.potentials]
+    tables.update(zip(graph.clusters, views(graph.flat.copy(), shapes)))
+    zeros = [t for t, table in tables.items() if table is None]
+    shapes = [table_shape(t, graph.cardinalities) for t in zeros]
+    tables.update(zip(zeros, views(np.zeros(sum(map(prod, shapes))), shapes)))
     return tables
 
 
@@ -258,15 +264,13 @@ class _Store:
         self._offsets = np.concatenate([self._offsets, np.array(offsets, np.intp)])
         return new, moved
 
-    def bind(self, tables: dict[Cluster, np.ndarray], clusters: Iterable[Cluster]) -> None:
+    def bind(self, tables: dict[Cluster, np.ndarray], clusters: list[Cluster]) -> None:
         """Point ``tables[t]`` at its view into the store, for each of
-        ``clusters``, stored one after another in store order: each run of
-        one shape is one view, whose rows are the tables."""
-        for shape, run in groupby(clusters, self.shape.__getitem__):
-            run = list(run)
-            start, size = self.where[run[0]], prod(shape)
-            rows = self.buf[start:start + len(run) * size].reshape(len(run), *shape)
-            tables.update(zip(run, rows))
+        ``clusters``, stored one after another in store order (see
+        :func:`~maplp.factor_graph.views`)."""
+        if clusters:
+            shapes = map(self.shape.__getitem__, clusters)
+            tables.update(zip(clusters, views(self.buf[self.where[clusters[0]]:], shapes)))
 
     def view(self, t: Cluster) -> np.ndarray:
         """Table ``t`` as a view into the store."""
@@ -813,10 +817,11 @@ class _Sweep:
 
 class _Primal:
     """:func:`energy` with its lookups prepared once: one gather of each
-    potential's entry at the decoded states (the potentials' tables laid
-    end to end, each entry at its table's base plus the states times the
-    table's strides), added left to right in potential order with one
-    sequential accumulate from ``0.0``, as :meth:`_Store.dual` adds."""
+    potential's entry at the decoded states (from the graph's tables laid
+    end to end, :attr:`FactorGraph.flat`, each entry at its table's base
+    plus the states times the table's strides), added left to right in
+    potential order with one sequential accumulate from ``0.0``, as
+    :meth:`_Store.dual` adds."""
 
     def __init__(self, graph: FactorGraph):
         potentials = graph.potentials
@@ -836,7 +841,7 @@ class _Primal:
         self.strides = self.strides.reshape(count, width)
         self.base = np.fromiter(accumulate((p.values.size for p in potentials), initial=0),
                                 np.intp, count)
-        self.values = np.concatenate([np.zeros(0), *(p.values.ravel() for p in potentials)])
+        self.values = graph.flat
 
     def __call__(self, states: Sequence[int]) -> float:
         if not self.base.size:

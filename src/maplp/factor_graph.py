@@ -10,14 +10,22 @@ Conventions used across the package:
   the sorted cluster scope.  The flattened (C-order) view of a table is
   therefore row-major over the sorted scope, which is the indexing convention
   used by the file formats as well.
+* A graph converts each input table once to ``float64`` (transposing only
+  those whose scope was given unsorted) and copies all of them together
+  into one read-only array, :attr:`FactorGraph.flat`; the tables are views
+  of it, made one reshape per run of equal shapes.  Checks over every
+  entry, such as finiteness in :func:`validate`, make one pass over that
+  array and search the single tables only on failure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
+from math import prod
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +49,7 @@ class InvalidModelError(ValueError):
 
 
 def table_shape(cluster: Cluster, cardinalities: Sequence[int]) -> tuple[int, ...]:
-    return tuple(cardinalities[i] for i in cluster)
+    return tuple(map(cardinalities.__getitem__, cluster))
 
 
 def table_cells(cluster: Cluster, cardinalities: Sequence[int]) -> int:
@@ -51,13 +59,38 @@ def table_cells(cluster: Cluster, cardinalities: Sequence[int]) -> int:
     return n
 
 
+def views(buf: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """Consecutive views of ``buf``, one per shape, from its start; each run
+    of one shape is one reshape, whose rows are the views.  A generator, so
+    that a caller replacing tables frees each old one as it takes a view."""
+    start = 0
+    for shape, run in groupby(shapes):
+        n, size = len(list(run)), prod(shape)
+        rows = buf[start:start + n * size].reshape(n, *shape)
+        yield from rows if shape else (rows[r, ...] for r in range(n))
+        start += n * size
+
+
+def _integral(kind: type) -> bool:
+    """Integers, numpy integers included, and not bools."""
+    return kind is not bool and issubclass(kind, Integral)
+
+
+def _scope(cluster: Iterable[int]) -> tuple:
+    try:
+        return tuple(cluster)
+    except TypeError:
+        raise InvalidModelError(f"cluster {cluster!r} is not a sequence of "
+                                "variable indices") from None
+
+
 @dataclass
 class PotentialTable:
     """A log-potential over a cluster scope.
 
     ``values`` has one axis per scope variable, in sorted-scope order.  When a
-    table cannot be shaped (size mismatch, to be reported by ``validate``) the
-    raw 1-D array is kept instead.
+    table cannot be shaped (bad scope or size mismatch, to be reported by
+    ``validate``) it keeps the shape it was given in.
     """
 
     scope: Cluster
@@ -68,11 +101,16 @@ class FactorGraph:
     """A collection of variables with cardinalities and log-potential tables.
 
     Duplicate cluster scopes are merged at construction by summing their
-    tables, which preserves the total energy; tables of different shapes on
-    one scope are kept apart, and ``validate`` reports the duplicate.
-    Unsorted input scopes are sorted and their tables transposed to match.
-    Tables are copied on the way in and made read-only; treat instances as
-    immutable once built.
+    tables in input order, which preserves the total energy; tables of
+    different shapes on one scope are kept apart, and ``validate`` reports
+    the duplicate.  Unsorted input scopes are sorted and their tables
+    transposed to match.  Tables are copied into one read-only array,
+    :attr:`flat`, in potential order, and each ``values`` is a view of it;
+    treat instances as immutable once built.
+
+    Variable indices and cardinalities must be integers (numpy integers
+    included, bools not), every cluster needs a table and every table must
+    hold numbers; anything else raises :class:`InvalidModelError`.
     """
 
     def __init__(
@@ -81,42 +119,66 @@ class FactorGraph:
         clusters: Iterable[Iterable[int]],
         potentials: Iterable[np.ndarray],
     ):
-        self.cardinalities: tuple[int, ...] = tuple(int(k) for k in cardinalities)
-        self.num_vars: int = len(self.cardinalities)
+        cards = tuple(cardinalities)
+        for i, k in enumerate(cards):
+            if not _integral(type(k)):
+                raise InvalidModelError(f"cardinality {k!r} of variable {i} is not an integer")
+        self.cardinalities: tuple[int, ...] = tuple(map(int, cards))
+        self.num_vars: int = len(cards)
+        cards = self.cardinalities
+        scopes, tables = list(map(_scope, clusters)), list(potentials)
+        if len(scopes) != len(tables):
+            raise InvalidModelError(f"{len(scopes)} clusters but {len(tables)} tables")
+        # One test per type of index met, and a search only on failure.
+        kinds = set(map(type, chain.from_iterable(scopes)))
+        if not all(map(_integral, kinds)):
+            i, raw = next((i, c) for i, c in enumerate(scopes)
+                          if not all(_integral(type(v)) for v in c))
+            raise InvalidModelError(f"cluster {i} {raw!r}: variable indices must be integers")
+        if kinds - {int}:
+            scopes = [tuple(map(int, c)) for c in scopes]
 
-        tables: list[PotentialTable] = []
-        by_scope: dict[Cluster, PotentialTable] = {}
-        for scope_in, values_in in zip(clusters, potentials, strict=True):
-            raw = tuple(int(v) for v in scope_in)
-            perm = tuple(int(p) for p in np.argsort(raw, kind="stable"))
-            scope = tuple(raw[p] for p in perm)
-            # A copy: the graph neither aliases nor freezes the caller's array.
-            values = np.array(values_in, dtype=np.float64)
-            if self._scope_ok(scope) and values.size == table_cells(scope, self.cardinalities):
-                # Incoming entries are row-major over the scope as given;
-                # permute axes so storage follows the sorted scope.
-                shaped = values.reshape(table_shape(raw, self.cardinalities))
-                values = np.ascontiguousarray(shaped.transpose(perm))
-            prev = by_scope.get(scope)
-            if prev is not None and prev.values.shape == values.shape:
-                prev.values = prev.values + values
+        kept: dict[Cluster, int] = {}  # scope -> its first table's position
+        kept_scopes: list[Cluster] = []
+        arrays: list[np.ndarray] = []
+        shapes: list[tuple[int, ...]] = []
+        for i, (raw, table) in enumerate(zip(scopes, tables)):
+            try:
+                values = np.asarray(table, dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                raise InvalidModelError(f"cluster {i} {raw}: table entries are not "
+                                        f"numbers ({err})") from None
+            scope = tuple(sorted(raw))
+            # A table on a bad scope, or of the wrong size, keeps its input
+            # shape, for ``validate`` to report.
+            shape = values.shape
+            if scope and 0 <= scope[0] and scope[-1] < len(cards) and len(set(scope)) == len(scope):
+                want = tuple(map(cards.__getitem__, scope))
+                if values.size == prod(want):
+                    shape = want
+                    if scope != raw:
+                        # Incoming entries are row-major over the scope as
+                        # given; permute axes so storage follows the sorted
+                        # scope.
+                        perm = sorted(range(len(raw)), key=raw.__getitem__)
+                        values = values.reshape(table_shape(raw, cards)).transpose(perm)
+            j = kept.get(scope)
+            if j is not None and shapes[j] == shape:
+                arrays[j] = arrays[j].reshape(shape) + values.reshape(shape)
             else:
                 # A table that cannot be summed with an earlier one on the
                 # same scope is kept apart, for ``validate`` to report.
-                table = PotentialTable(scope, values)
-                by_scope.setdefault(scope, table)
-                tables.append(table)
-        for table in tables:
-            table.values.flags.writeable = False
-        self.potentials: tuple[PotentialTable, ...] = tuple(tables)
-        self._by_scope: dict[Cluster, PotentialTable] = by_scope
-
-    def _scope_ok(self, scope: Cluster) -> bool:
-        if not scope:
-            return False
-        if any(v < 0 or v >= self.num_vars for v in scope):
-            return False
-        return all(a < b for a, b in zip(scope, scope[1:]))
+                kept.setdefault(scope, len(arrays))
+                kept_scopes.append(scope)
+                arrays.append(values)
+                shapes.append(shape)
+        # A copy: the graph neither aliases nor freezes the caller's arrays.
+        self.flat: np.ndarray = np.concatenate([np.zeros(0), *arrays], axis=None)
+        self.flat.flags.writeable = False
+        self.potentials: tuple[PotentialTable, ...] = tuple(
+            map(PotentialTable, kept_scopes, views(self.flat, shapes)))
+        self._by_scope: dict[Cluster, PotentialTable] = {
+            scope: self.potentials[j] for scope, j in kept.items()}
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
@@ -146,7 +208,7 @@ def energy(graph: FactorGraph, x: Sequence[int]) -> float:
             f"assignment has {len(x)} states for {graph.num_vars} variables"
         )
     for i, (s, k) in enumerate(zip(x, graph.cardinalities)):
-        if isinstance(s, bool) or not isinstance(s, Integral):
+        if not _integral(type(s)):
             raise InvalidAssignmentError(f"state {s!r} for variable {i} is not an integer")
         if not 0 <= s < k:
             raise InvalidAssignmentError(f"state {s} out of range for variable {i}")
@@ -159,6 +221,8 @@ def energy(graph: FactorGraph, x: Sequence[int]) -> float:
 def validate(graph: FactorGraph) -> list[str]:
     """Check all FactorGraph invariants; returns one message per violation."""
     problems: list[str] = []
+    # One pass over every table's entries; tables are searched only on failure.
+    finite = bool(np.isfinite(graph.flat).all())
     if any(k < 1 for k in graph.cardinalities):
         problems.append("cardinalities must all be >= 1")
     seen: set[Cluster] = set()
@@ -182,7 +246,7 @@ def validate(graph: FactorGraph) -> list[str]:
                 f"cluster {i} {scope}: table size {p.values.size}, expected {want}"
             )
             continue
-        if not np.all(np.isfinite(p.values)):
+        if not finite and not np.isfinite(p.values).all():
             problems.append(f"cluster {i} {scope}: non-finite table entries")
     return problems
 

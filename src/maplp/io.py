@@ -160,11 +160,8 @@ def model_to_dict(graph: FactorGraph) -> dict:
 def model_from_dict(data: dict) -> FactorGraph:
     if data.get("format") != "maplp-model":
         raise ValueError("not a maplp model document")
-    return FactorGraph(
-        data["cardinalities"],
-        [tuple(c) for c in data["clusters"]],
-        data["log_potentials"],  # FactorGraph copies each table into an array
-    )
+    # FactorGraph checks the indices and copies the tables into one array.
+    return FactorGraph(data["cardinalities"], data["clusters"], data["log_potentials"])
 
 
 def save_model(graph: FactorGraph, path: str | Path) -> None:

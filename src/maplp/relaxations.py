@@ -12,11 +12,17 @@ objective.
 The builders that intersect clusters or select sub-clusters (``gmplp``,
 ``pi-s``, ``mi`` and :func:`intersection_closure`) look clusters up through
 a variable -> cluster incidence index, so their work grows with the pairs of
-clusters that share a variable, not with all pairs of clusters.
+clusters that share a variable, not with all pairs of clusters.  Each such
+unordered pair is intersected once, as frozensets built once per cluster:
+a cluster meets only the clusters before it, gathered from the index of
+those, and a pair in which one cluster holds the other is skipped by size,
+since its intersection is the smaller cluster.  Containment queries meet
+each indexed cluster once, under its smallest variable.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -142,24 +148,43 @@ def _incidence(family: Iterable[Cluster]) -> dict[int, list[Cluster]]:
     return index
 
 
-def _inside(index: Mapping[int, list[Cluster]], c: Cluster) -> list[Cluster]:
-    """The indexed members contained in ``c``, ``c`` itself included.  Each
-    member is met once, under its smallest variable."""
+def _firsts(family: Iterable[Cluster]) -> dict[int, list[Cluster]]:
+    """Variable -> the members of ``family`` whose smallest variable it is."""
+    index: dict[int, list[Cluster]] = {}
+    for c in family:
+        index.setdefault(c[0], []).append(c)
+    return index
+
+
+def _inside(firsts: Mapping[int, list[Cluster]], c: Cluster) -> list[Cluster]:
+    """The indexed members contained in ``c``, ``c`` itself included: each
+    is met once, under its smallest variable."""
     cs = set(c)
-    return [t for v in c for t in index.get(v, ()) if t[0] == v and cs.issuperset(t)]
+    return [t for v in c for t in firsts.get(v, ()) if cs.issuperset(t)]
 
 
-def _meets(index: Mapping[int, list[Cluster]], a: Cluster) -> set[Cluster]:
-    """The nonempty intersections of ``a`` with the indexed members (``a``
-    with itself included)."""
-    sa = set(a)
-    return {tuple(sorted(sa.intersection(b))) for v in sa for b in index[v]}
+def _meets(family: Iterable[frozenset[int]]) -> set[frozenset[int]]:
+    """The intersections of the pairs of members that share a variable and
+    are not nested.  Each pair is met once, when the later member is
+    reached, through an incidence index of the members before it.  A nested
+    pair's intersection is its smaller member; comparing it with the two
+    members tells them apart by size alone unless it is one of them."""
+    index: dict[int, list[frozenset[int]]] = defaultdict(list)
+    out: set[frozenset[int]] = set()
+    for a in family:
+        earlier: set[frozenset[int]] = set()
+        for v in a:
+            earlier.update(index[v])
+            index[v].append(a)
+        for b in earlier:
+            s = a & b
+            if s != a and s != b:
+                out.add(s)
+    return out
 
 
-def _pairwise_intersections(clusters: Iterable[Cluster]) -> set[Cluster]:
-    cs = list(clusters)
-    index = _incidence(cs)
-    return {s for a in cs for s in _meets(index, a)}  # c = c & c included
+def _sorted(sets: Iterable[frozenset[int]]) -> set[Cluster]:
+    return {tuple(sorted(s)) for s in sets}
 
 
 def gmplp_spec(graph: FactorGraph) -> RelaxationSpec:
@@ -167,8 +192,8 @@ def gmplp_spec(graph: FactorGraph) -> RelaxationSpec:
     pairwise intersection, itself included (the self entry is carried but is
     vacuous for the solver)."""
     cset = graph.clusters
-    index = _incidence(_pairwise_intersections(cset))
-    return RelaxationSpec(cset, {c: _inside(index, c) for c in cset})
+    firsts = _firsts(set(cset) | _sorted(_meets(map(frozenset, cset))))
+    return RelaxationSpec(cset, {c: _inside(firsts, c) for c in cset})
 
 
 def dd_spec(graph: FactorGraph) -> RelaxationSpec:
@@ -218,10 +243,8 @@ def powerset_spec(graph: FactorGraph, max_order: int = 6) -> RelaxationSpec:
     one-smaller subsets (covers)."""
     family = _subset_family(graph, max_order, "powerset_spec")
     ext = _canonical(family)
-    subs = {
-        c: tuple(s for s in combinations(c, len(c) - 1) if s in family)
-        for c in ext
-    }
+    # The family holds every subset of its members; singletons send to none.
+    subs = {c: combinations(c, len(c) - 1) for c in ext if len(c) > 1}
     return RelaxationSpec(ext, subs)
 
 
@@ -241,30 +264,41 @@ def all_subsets_spec(graph: FactorGraph, max_order: int = 6) -> RelaxationSpec:
 def intersection_closure(clusters: Iterable[Cluster]) -> set[Cluster]:
     """Smallest family containing ``clusters`` closed under pairwise
     intersection (empty intersections dropped).  Worklist fixpoint; the
-    lattice of subsets is finite so this terminates.  Every member is an
-    intersection of given clusters, so each popped member meets only the
-    given clusters it shares a variable with."""
-    closed: set[Cluster] = set(clusters)
-    index = _incidence(closed)
-    work = list(closed)
+    lattice of subsets is finite so this terminates.  The given clusters
+    meet pairwise once each (see :func:`_meets`); every further member is
+    an intersection of given clusters, so each meets only the given
+    clusters it shares a variable with."""
+    clusters = list(clusters)
+    given = [frozenset(c) for c in clusters]
+    index = _incidence(given)
+    closed = set(given)
+    work = [s for s in _meets(given) if s not in closed]
+    closed.update(work)
     while work:
-        for shared in _meets(index, work.pop()):
-            if shared not in closed:
-                closed.add(shared)
-                work.append(shared)
-    return closed
+        w = work.pop()
+        for b in set().union(*map(index.__getitem__, w)):
+            s = w & b
+            if s not in closed:
+                closed.add(s)
+                work.append(s)
+    return set(clusters) | _sorted(closed)
 
 
 def pi_system_spec(graph: FactorGraph) -> RelaxationSpec:
     """Intersection-closed family; each member sends to its maximal strict
     subsets within the family (no member strictly between)."""
-    closed = intersection_closure(graph.clusters)
-    ext = _canonical(closed)
-    index = _incidence(ext)
+    ext = _canonical(intersection_closure(graph.clusters))
+    firsts = _firsts(ext)
+    frozen = {c: frozenset(c) for c in ext}
     subs = {}
     for c in ext:
-        inside = [s for s in _inside(index, c) if s != c]
-        subs[c] = [s for s in inside if not any(set(s) < set(t) for t in inside)]
+        # Largest first, ``c`` itself leading: a member inside another
+        # member is inside a kept one.
+        kept: list[Cluster] = []
+        for s in sorted(_inside(firsts, c), key=len, reverse=True)[1:]:
+            if not any(frozen[s] < frozen[t] for t in kept):
+                kept.append(s)
+        subs[c] = kept
     return RelaxationSpec(ext, subs)
 
 
@@ -272,11 +306,10 @@ def max_intersection_spec(graph: FactorGraph) -> RelaxationSpec:
     """Only maximal clusters send; receivers are the original clusters plus
     pairwise intersections of maximal clusters (strict subsets only)."""
     cset = graph.clusters
-    index = _incidence(cset)
+    frozen = list(map(frozenset, cset))
+    index = _incidence(frozen)
     # A strict superset of c contains c's smallest variable.
-    maximal = tuple(
-        c for c in cset if not any(set(c) < set(d) for v in c[:1] for d in index[v])
-    )
-    index = _incidence(set(cset) | _pairwise_intersections(maximal))
-    subs = {c: [s for s in _inside(index, c) if s != c] for c in maximal}
-    return RelaxationSpec(maximal, subs)
+    maximal = [(c, fc) for c, fc in zip(cset, frozen) if not any(fc < d for d in index[c[0]])]
+    firsts = _firsts(set(cset) | _sorted(_meets(fc for _, fc in maximal)))
+    subs = {c: [s for s in _inside(firsts, c) if s != c] for c, _ in maximal}
+    return RelaxationSpec(tuple(c for c, _ in maximal), subs)

@@ -1,5 +1,7 @@
 """Model construction, energy and the grid generator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from maplp import (
     energy,
     random_grid,
     run,
+    table_cells,
+    table_shape,
     validate,
 )
+from maplp.factor_graph import PotentialTable
 
 from conftest import CHAIN_CLUSTERS, build_graph
 
@@ -119,6 +124,161 @@ class TestConstructionAndValidate:
     def test_clean_graph_validates(self):
         g = random_grid(3, 3, 2, 0)
         assert validate(g) == []
+
+
+class TestConstructionRejectsBadInput:
+    """Indices and cardinalities must be integers (numpy integers included,
+    bools not), every cluster needs a table and tables must hold numbers;
+    each failure is an :class:`InvalidModelError` naming what is wrong."""
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, np.float64(1), True, np.bool_(True), "1"])
+    def test_non_integer_variable_index(self, index):
+        with pytest.raises(InvalidModelError, match=r"cluster 1 \(0, .*\): variable indices"):
+            FactorGraph([2, 2], [(0,), (0, index)], [np.zeros(2), np.zeros(4)])
+
+    @pytest.mark.parametrize("card", [2.5, 2.0, True, None])
+    def test_non_integer_cardinality(self, card):
+        with pytest.raises(InvalidModelError, match="of variable 1 is not an integer"):
+            FactorGraph([2, card], [(0,)], [np.zeros(2)])
+
+    def test_numpy_integers_accepted(self):
+        g = FactorGraph([np.int64(2), np.uint8(3)], [(np.int32(1), np.int64(0))],
+                        [np.arange(6.0).reshape(3, 2)])
+        assert g.cardinalities == (2, 3) and g.clusters == ((0, 1),)
+        assert all(type(k) is int for k in g.cardinalities + g.clusters[0])
+        np.testing.assert_array_equal(g.potentials[0].values, np.arange(6.0).reshape(3, 2).T)
+
+    @pytest.mark.parametrize("table", [[0.0, "x", 1.0, 2.0], [[0.0, 1.0], [2.0]], [{}, 0, 0, 0]],
+                             ids=["string", "ragged", "object"])
+    def test_table_that_is_not_numbers(self, table):
+        with pytest.raises(InvalidModelError, match=r"cluster 1 \(0, 1\): table entries"):
+            FactorGraph([2, 2], [(0,), (0, 1)], [np.zeros(2), table])
+
+    @pytest.mark.parametrize("tables", [1, 3])
+    def test_table_count_must_match_cluster_count(self, tables):
+        with pytest.raises(InvalidModelError, match=f"2 clusters but {tables} tables"):
+            FactorGraph([2, 2], [(0,), (1,)], [np.zeros(2)] * tables)
+
+    def test_cluster_that_is_not_a_sequence(self):
+        with pytest.raises(InvalidModelError, match="cluster 3 is not a sequence"):
+            FactorGraph([2], [3], [np.zeros(2)])
+
+
+def reference_tables(cardinalities, clusters, potentials):
+    """The per-table construction the one-buffer :class:`FactorGraph`
+    replaced: one ``argsort``, one ``np.array`` and one reshape/transpose
+    per table.  Returns a graph-like namespace for :func:`reference_validate`."""
+    cards = tuple(int(k) for k in cardinalities)
+    tables, by_scope = [], {}
+    for scope_in, values_in in zip(clusters, potentials, strict=True):
+        raw = tuple(int(v) for v in scope_in)
+        perm = tuple(int(p) for p in np.argsort(raw, kind="stable"))
+        scope = tuple(raw[p] for p in perm)
+        values = np.array(values_in, dtype=np.float64)
+        ok = (bool(scope) and all(0 <= v < len(cards) for v in scope)
+              and all(a < b for a, b in zip(scope, scope[1:])))
+        if ok and values.size == table_cells(scope, cards):
+            shaped = values.reshape(table_shape(raw, cards))
+            values = np.ascontiguousarray(shaped.transpose(perm))
+        prev = by_scope.get(scope)
+        if prev is not None and prev.values.shape == values.shape:
+            prev.values = prev.values + values
+        else:
+            table = PotentialTable(scope, values)
+            by_scope.setdefault(scope, table)
+            tables.append(table)
+    for table in tables:
+        table.values.flags.writeable = False
+    return SimpleNamespace(cardinalities=cards, num_vars=len(cards), potentials=tables)
+
+
+def reference_validate(graph):
+    """:func:`validate` with one finiteness test per table."""
+    problems = []
+    if any(k < 1 for k in graph.cardinalities):
+        problems.append("cardinalities must all be >= 1")
+    seen = set()
+    for i, p in enumerate(graph.potentials):
+        scope = p.scope
+        if not scope:
+            problems.append(f"cluster {i}: empty scope")
+            continue
+        if any(v < 0 or v >= graph.num_vars for v in scope):
+            problems.append(f"cluster {i}: index out of range in {scope}")
+            continue
+        if any(a >= b for a, b in zip(scope, scope[1:])):
+            problems.append(f"cluster {i}: scope not strictly ascending")
+            continue
+        if scope in seen:
+            problems.append(f"cluster {i}: duplicate cluster set {scope}")
+        seen.add(scope)
+        want = table_cells(scope, graph.cardinalities)
+        if p.values.size != want:
+            problems.append(f"cluster {i} {scope}: table size {p.values.size}, expected {want}")
+            continue
+        if not np.all(np.isfinite(p.values)):
+            problems.append(f"cluster {i} {scope}: non-finite table entries")
+    return problems
+
+
+def assert_same_as_reference(cards, clusters, tables):
+    got, want = FactorGraph(cards, clusters, tables), reference_tables(cards, clusters, tables)
+    assert got.clusters == tuple(p.scope for p in want.potentials)
+    for p, q in zip(got.potentials, want.potentials, strict=True):
+        assert p.values.shape == q.values.shape and p.values.dtype == q.values.dtype
+        assert p.values.tobytes() == q.values.tobytes()
+        assert not p.values.flags.writeable and not q.values.flags.writeable
+    assert validate(got) == reference_validate(want)
+
+
+class TestConstructionMatchesPerTableReference:
+    """The one-buffer construction equals the per-table one: clusters,
+    table values bit for bit, shapes, dtypes, read-only flags and
+    ``validate`` messages, on unsorted scopes, duplicates of equal and
+    unequal shape, mis-sized tables and bad scopes."""
+
+    def test_examples(self):
+        nan, inf = float("nan"), float("inf")
+        cards = [2, 3, 2]
+        clusters = [(1, 0), (0, 1), (0, 1), (2,), (0, 2, 1), (2,), (1,), (0, 5), (1, 1), ()]
+        tables = [np.arange(6.0).reshape(3, 2), np.ones(6), np.full((2, 3), 0.5),
+                  [nan, 1.0], np.arange(12.0), np.zeros(3), [inf, 0.0, 1.0],
+                  np.zeros(4), np.zeros(9), np.zeros(1)]
+        assert_same_as_reference(cards, clusters, tables)
+
+    def test_random_models(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entries = st.one_of(st.floats(-4, 4), st.sampled_from([float("nan"), float("inf")]))
+
+        @st.composite
+        def models(draw):
+            cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+            n = len(cards)
+            # Few distinct scopes, so that duplicates are common.
+            pool = draw(st.lists(st.lists(st.integers(-1, n), max_size=3), min_size=1, max_size=4))
+            clusters, tables = [], []
+            for _ in range(draw(st.integers(1, 8))):
+                raw = tuple(draw(st.sampled_from(pool)))
+                in_range = all(0 <= v < n for v in raw)
+                cells = table_cells(raw, cards) if in_range else 2
+                size = max(0, cells + draw(st.sampled_from([0, 0, 0, -1, 1])))
+                values = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+                shape = draw(st.sampled_from(["flat", "scope", "row"]))
+                if shape == "scope" and in_range and raw and size == cells:
+                    values = values.reshape(table_shape(raw, cards))
+                elif shape == "row":
+                    values = values.reshape(1, size)
+                clusters.append(raw)
+                tables.append(values.tolist() if draw(st.booleans()) else values)
+            return cards, clusters, tables
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(model=models())
+        def check(model):
+            assert_same_as_reference(*model)
+
+        check()
 
 
 class TestRandomGrid:

@@ -25,9 +25,11 @@ from maplp import (
     max_intersection_spec,
     dual_decrease,
     pi_system_spec,
+    powerset_spec,
     random_grid,
     run_with_pursuit,
     stealth_candidates,
+    XorShift64Star,
 )
 from maplp.pursuit import StealthCandidate
 
@@ -88,6 +90,14 @@ def reference_max_intersection_spec(graph):
     return RelaxationSpec(maximal, subs)
 
 
+def reference_powerset_spec(graph):
+    family = {s for c in graph.clusters for r in range(1, len(c) + 1)
+              for s in combinations(c, r)}
+    ext = canonical(family)
+    return RelaxationSpec(ext, {c: tuple(s for s in ext if len(s) == len(c) - 1
+                                         and set(s) < set(c)) for c in ext})
+
+
 BUILDERS = [
     (gmplp_spec, reference_gmplp_spec),
     (pi_system_spec, reference_pi_system_spec),
@@ -95,12 +105,32 @@ BUILDERS = [
 ]
 
 
-def assert_same_specs(graph):
-    for builder, reference in BUILDERS:
+def assert_same_specs(graph, builders=BUILDERS):
+    """``==`` specs with the same extended-cluster order, sub-cluster
+    tuples and support as the references, and the same closure."""
+    for builder, reference in builders:
         spec, want = builder(graph), reference(graph)
         assert spec == want, builder.__name__
         assert spec.extended_clusters == want.extended_clusters, builder.__name__
+        assert [spec.subs_of(c) for c in spec.extended_clusters] == [
+            want.subs_of(c) for c in want.extended_clusters], builder.__name__
+        assert spec.support == want.support, builder.__name__
     assert intersection_closure(graph.clusters) == reference_intersection_closure(graph.clusters)
+
+
+def mixed_order_graph(seed, n=30, count=60):
+    """Binary variables, each alone, and ``count`` clusters of 3, 4 or 5
+    variables drawn from windows of 7, so that clusters nest and share one
+    to four variables."""
+    rng = XorShift64Star(seed)
+    clusters = [(v,) for v in range(n)]
+    for _ in range(count):
+        order, start = 3 + rng.next_u64() % 3, rng.next_u64() % (n - 6)
+        scope = set()
+        while len(scope) < order:
+            scope.add(start + rng.next_u64() % 7)
+        clusters.append(tuple(sorted(scope)))
+    return FactorGraph([2] * n, clusters, [np.zeros(2 ** len(c)) for c in clusters])
 
 
 def test_conftest_graphs_match_reference(chain_of_triples, clique_grid):
@@ -111,6 +141,18 @@ def test_conftest_graphs_match_reference(chain_of_triples, clique_grid):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sixteen_grid_matches_reference(seed):
     assert_same_specs(random_grid(16, 16, 3, seed))
+
+
+def test_sixteen_grid_powerset_matches_reference():
+    graph = random_grid(16, 16, 3, 0)
+    assert_same_specs(graph, [(powerset_spec, reference_powerset_spec)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mixed_order_clusters_match_reference(seed):
+    graph = mixed_order_graph(seed)
+    assert {len(c) for c in graph.clusters} == {1, 3, 4, 5}
+    assert_same_specs(graph, [*BUILDERS, (powerset_spec, reference_powerset_spec)])
 
 
 def test_twelve_variable_instances_match_reference():

@@ -14,6 +14,7 @@ import pytest
 from maplp import (
     DualTrace,
     FactorGraph,
+    InvalidModelError,
     ParseError,
     TraceRecord,
     emit_trace,
@@ -26,6 +27,7 @@ from maplp import (
 )
 import maplp
 from maplp.cli import cli_main
+from maplp.io import model_from_dict, model_to_dict
 
 TINY_UAI = "MARKOV\n1\n2\n1\n1 0\n\n2\n 0.6 0.4\n"
 
@@ -122,6 +124,25 @@ class TestModelRoundTrip:
         assert g2.clusters == g.clusters
         for p, q in zip(g.potentials, g2.potentials):
             np.testing.assert_array_equal(p.values, q.values)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["clusters"][1].__setitem__(1, 1.7), r"cluster 1 \(0, 1.7\): variable indices"),
+        (lambda d: d["clusters"][1].__setitem__(1, True), r"cluster 1 \(0, True\): variable indices"),
+        (lambda d: d["cardinalities"].__setitem__(1, 2.5), "cardinality 2.5 of variable 1"),
+        (lambda d: d["log_potentials"][1].__setitem__(2, "x"), r"cluster 1 \(0, 1\): table entries"),
+        (lambda d: d["log_potentials"][1].__setitem__(2, [0.0, 1.0]),
+         r"cluster 1 \(0, 1\): table entries"),
+        (lambda d: d["log_potentials"].pop(), "3 clusters but 2 tables"),
+    ], ids=["float-index", "bool-index", "float-cardinality", "string-entry", "ragged-table",
+            "missing-table"])
+    def test_bad_json_model_raises_invalid_model_error(self, edit, message):
+        doc = model_to_dict(FactorGraph(
+            [2, 2], [(0,), (0, 1), (1,)], [np.zeros(2), np.arange(4.0), np.ones(2)]))
+        doc = json.loads(json.dumps(doc))
+        model_from_dict(doc)
+        edit(doc)
+        with pytest.raises(InvalidModelError, match=message):
+            model_from_dict(doc)
 
     def test_uai_extension_dispatch(self, tmp_path):
         path = tmp_path / "tiny.uai"

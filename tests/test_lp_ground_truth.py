@@ -27,6 +27,7 @@ from maplp import (
     relaxation_from_diagram,
     remove_node,
     run,
+    SolverParams,
     table_cells,
 )
 
@@ -111,3 +112,42 @@ def test_round_trip_keeps_support_and_optimum(name, builder):
     assert lp_optimum(diagram_from_relaxation(back, graph.clusters), graph) == pytest.approx(
         optimum, abs=1e-7)
     assert run(graph, back).dual >= optimum - 1e-9
+
+
+CONVERGED = SolverParams(max_sweeps=5000)
+
+
+@pytest.mark.parametrize("builder", [gmplp_spec, powerset_spec, pi_system_spec,
+                                     max_intersection_spec], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("size, states", [(4, 2), (5, 3), (6, 3)])
+def test_full_specs_reach_their_lp_optimum(size, states, builder):
+    """Run to convergence, the full intersection-based specs stop at their
+    LP optimum (measured gaps are at most 5e-14)."""
+    graph = random_grid(size, size, states, 0)
+    spec = builder(graph)
+    optimum = lp_optimum(diagram_from_relaxation(spec, graph.clusters), graph)
+    assert run(graph, spec, CONVERGED).dual == pytest.approx(optimum, abs=1e-7)
+
+
+def test_reduced_gmplp_stalls_above_its_lp_optimum():
+    """A finding, not a bound: descent on the edge-reduced gmplp diagram
+    stops at 21.663124 on 4x4x2 seed 0, although the reduction keeps the
+    LP optimum 18.992011."""
+    graph = random_grid(4, 4, 2, 0)
+    reduced = reduce_edges(diagram_from_relaxation(gmplp_spec(graph), graph.clusters))
+    assert lp_optimum(reduced, graph) == pytest.approx(18.992011, abs=1e-6)
+    result = run(graph, relaxation_from_diagram(reduced), CONVERGED)
+    assert not result.truncated
+    assert result.dual == pytest.approx(21.663124, abs=1e-6)
+
+
+def test_full_dd_stalls_above_its_lp_optimum():
+    """A finding, not a bound: ``dd`` block descent on 4x4x2 seed 0 stops
+    0.147833 above its own LP optimum 20.844086."""
+    graph = random_grid(4, 4, 2, 0)
+    spec = dd_spec(graph)
+    optimum = lp_optimum(diagram_from_relaxation(spec, graph.clusters), graph)
+    assert optimum == pytest.approx(20.844086, abs=1e-6)
+    result = run(graph, spec, CONVERGED)
+    assert not result.truncated
+    assert result.dual - optimum == pytest.approx(0.147833, abs=1e-6)

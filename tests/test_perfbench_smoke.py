@@ -1,7 +1,8 @@
 """The benchmark runs end to end: one short run of each workload exits 0 with
 every gate passed (grid-solve's include the belief scalars per sweep of each
 relaxation, small-certify's the rank-certified diagram reductions) and
-reports exactly the end-to-end metrics that ``BENCHMARK.json`` declares."""
+reports exactly the end-to-end metrics that ``BENCHMARK.json`` declares; a
+traced grid-solve run reports exactly its per-layer metrics."""
 
 import json
 import subprocess
@@ -11,18 +12,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_smoke(workload):
+def run_smoke(workload, trace=0):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", "1", "--trace", "0"],
+         "--seed", "0", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    assert list(result["metrics"]) == [m["name"] for m in declared]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["per_layer" if trace else "end_to_end"]]
+    assert list(result["metrics"]) == names
+    return names
 
 
 def test_grid_solve_smoke():
@@ -35,3 +38,11 @@ def test_cycles_pursuit_smoke():
 
 def test_small_certify_smoke():
     run_smoke("small-certify")
+
+
+def test_grid_solve_traced_smoke():
+    """The traced path carries the set-up layers (``io.load_model_s``,
+    ``relaxations.build_s.*``) that end-to-end runs do not show."""
+    names = run_smoke("grid-solve", trace=1)
+    assert len(names) == 63
+    assert "io.load_model_s" in names
