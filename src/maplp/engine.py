@@ -41,8 +41,8 @@ table with c``; the updates of one level touch disjoint tables and commute,
 so running the levels in order gives exactly the insertion-order iterates
 (any schedule that respects these dependencies does; Globerson & Jaakkola,
 NIPS 2007; Kolmogorov, PAMI 2006).  A :class:`_Level` step runs every
-update of its level in numpy calls that grow with its largest sub count and
-its (shape, sub layout) batches, not its members.  Its per-cell index maps
+update of its level in numpy calls that grow with its depths and batches,
+not its members or subs.  Its per-cell index maps
 come from shared templates; the compiled sweep keeps them, with the
 ``1/|S|`` scale of each new cell, for its first parts, within 64 KiB
 (``_KEPT_CELLS``), and the rest are rebuilt per call, since all of a large
@@ -52,20 +52,21 @@ per sweep for ``gmplp`` / ``dd`` / ``ps`` / ``pi-s`` / ``mi``.
 
 Each cluster keeps its float operations in the one-cluster order: ``joint
 = b_c + b_s1 + ...``, each new sub-table ``max * (1/|S|)``, then the
-subtractions in sub order; these run over a part's cells as in-place adds,
-one role at a time.  The block drop adds each member's role maxima in role
-order too.  A part with few members per sub adds them with one
-``np.add.accumulate`` down the role axis, which runs an inner loop per
-member, so a part with many adds one role at a time (``_SUM_MEMBERS``).
-``np.sum`` and ``np.add.reduce`` are used for neither: they add a
-contiguous axis pairwise, as the role axis of one member with 8 or more
-roles.  Maxima are exact in any order; a padded role adds zero.  The dual
-adds the table maxima left to right in store order, which is the state's
-table order (a store grows only by tables appended to its state), from
-``0.0``, with one sequential accumulate; the primal gathers the potential
-entries at the decoded states and adds them the same way, in potential
-order.  So traces, tables, the assignment and ``min_update_decrease`` are
-bit-identical to the one-cluster-at-a-time sweep.
+subtractions in sub order.  A step makes each role sum over a part's cells
+in one ``np.subtract.reduce`` down the role axis, in role order: the joint
+with the sub rows negated (``x0 - (-x1)`` is ``x0 + x1`` to the bit,
+signed zeros included), then the member table as ``joint - new1 - ...``.
+``np.add.reduce`` would add a contiguous role axis pairwise, as a part of
+one cell has.  Block drops are taken once per sweep: the steps write their
+members' role maxima into a buffer of the run, which :class:`_Drops` sums
+the same way, rows 0..K before and 1..K, then 0, after the update.  Maxima
+are exact in any order.  The dual adds the table maxima left to right in
+store order, which is the state's table order (a store grows only by tables
+appended to its state), from ``0.0``, with one sequential accumulate; the
+primal gathers the potential entries at the decoded states and adds them
+the same way, in potential order.  So traces, tables, the assignment and
+``min_update_decrease`` are bit-identical to the one-cluster-at-a-time
+sweep.
 
 Pursuit keeps one :class:`_Sweep` across its belief-mode rounds and tells
 it what each round added.  It stores just the new tables (a full store is
@@ -442,21 +443,19 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class _Level:
-    """The block updates of one level as one step over a :class:`_Store`; a
-    call returns the smallest drop.  ``batches`` maps each (table shape, sub
-    layout) to its members' offsets, ``(1 + subs, members)``: each member's
-    table, then its subs in order (:func:`_member_offsets`).  A step gathers
-    ``X``, one row per role and one column per member cell: the members'
-    tables, then each member's ``r``-th sub broadcast into its cells (the
-    store's zero cell past its last sub).  New sub-table cells are one
-    maximum per depth (cells projecting to one) over a ``(depth, new
-    cells)`` gather of the joint, scaled by their member's ``1/|S|``, and
-    gathered back into ``X`` to subtract; ``X`` is then scattered to the
-    store.  Each member's drop comes from its role maxima, ``(roles,
-    members)``, summed with one accumulate per call when the part has at
-    most ``_SUM_MEMBERS`` members per sub past the first
-    (:attr:`accumulate`), else one role at a time.  :meth:`extended` makes
-    the part with more members from the offsets it keeps."""
+    """The block updates of one level as one step over a :class:`_Store`.
+    ``batches`` maps each (table shape, sub layout) to its members' offsets,
+    ``(1 + subs, members)``: each member's table, then its subs in order
+    (:func:`_member_offsets`).  A step gathers ``X``, one row per role and
+    one column per member cell: the members' tables, then each member's
+    ``r``-th sub broadcast into its cells (the store's zero cell past its
+    last sub).  New sub-table cells are one maximum per depth (cells
+    projecting to one) over a ``(depth, new cells)`` gather of the joint,
+    scaled by their member's ``1/|S|``, and gathered back into ``X`` to
+    subtract; ``X`` is then scattered to the store.  A call writes its
+    members' role maxima, ``(roles, members)``, for :class:`_Drops`.
+    :meth:`extended` makes the part with more members from the offsets it
+    keeps."""
 
     def __init__(self, store: _Store, batches: Mapping[tuple, np.ndarray], templates: dict):
         self.store, self.templates = store, templates
@@ -500,7 +499,6 @@ class _Level:
         self.delta = np.array(strides).T.repeat(members, axis=1) * index
         self.delta += np.array(starts).T.repeat(members, axis=1)
         self.delta -= self.offsets[1:]
-        self.accumulate = len(self.cells) <= _SUM_MEMBERS * (K - 1)
         # Cells of the maps a call builds (``G``, the ``Q``s, ``R`` and the
         # scale), and the maps themselves if the compiled sweep keeps them.
         self.map_cells = ((2 * K + 1) * self.width + sum(d * n for d, n in counts.items())
@@ -544,40 +542,58 @@ class _Level:
         R += G[1:]
         return G, Qs, R, np.repeat(self.inv, self.new_cells)
 
-    def __call__(self) -> float:
-        buf, K = self.store.buf, self.K
+    def __call__(self, before: np.ndarray, after: np.ndarray) -> None:
+        buf = self.store.buf
         G, Qs, R, scale = self.kept or self.maps()
         X = buf[G]
-        before = np.maximum.reduceat(X, self.starts, axis=1)
-        joint = X[0]
-        for r in range(1, K + 1):
-            joint += X[r]
-        new = np.empty(self.size)
-        new[0] = 0.0
+        sub_rows = X[1:]
+        np.maximum.reduceat(X, self.starts, axis=1, out=before)
+        # Negated by a product: a first ``np.negative`` call pages in numpy code.
+        sub_rows *= -1.0
+        X[0] = joint = np.subtract.reduce(X, axis=0)
+        new = np.zeros(self.size)
         start = 1
         for Q in Qs:
             np.maximum.reduce(joint[Q], axis=0, out=new[start:start + Q.shape[1]])
             start += Q.shape[1]
         new[1:] *= scale
         # In range by construction; "clip" writes to X without a buffer.
-        np.take(new, R, out=X[1:], mode="clip")
-        for r in range(1, K + 1):
-            joint -= X[r]
-        maxima = np.maximum.reduceat(X, self.starts, axis=1)
+        np.take(new, R, out=sub_rows, mode="clip")
+        X[0] = np.subtract.reduce(X, axis=0)
+        np.maximum.reduceat(X, self.starts, axis=1, out=after)
         buf[G] = X
-        # Per member, the role maxima added in order 0..K before the update
-        # and 1..K, 0 after it.
-        if self.accumulate:
-            np.add.accumulate(before, axis=0, out=before)
-            np.add.accumulate(maxima[1:], axis=0, out=maxima[1:])
-            return float((before[K] - (maxima[K] + maxima[0])).min())
-        for r in range(1, K + 1):
-            before[0] += before[r]
-        after = maxima[1]
-        for r in range(2, K + 1):
-            after += maxima[r]
-        after += maxima[0]
-        return float((before[0] - after).min())
+
+
+class _Drops:
+    """:attr:`calls` runs each part, writing its members' role maxima before
+    and after its update into a buffer ``(2, max roles + 1, updates)``
+    padded with ``-0.0``, which adds nothing, a zero included.  A call
+    returns the sweep's smallest drop (``inf`` for none): per update, the
+    maxima added in order 0..K before, minus 1..K, 0 after, each sum one
+    ``np.subtract.reduce`` over rows negated in place."""
+
+    def __init__(self, parts: Sequence[_Level]):
+        bounds = [0, *accumulate(len(p.cells) for p in parts)]
+        buf = np.full((2, 2 + max((p.K for p in parts), default=0), bounds[-1]), -0.0)
+        self.calls = [partial(p, buf[0, :p.K + 1, lo:hi], buf[1, :p.K + 1, lo:hi])
+                      for p, lo, hi in zip(parts, bounds, bounds[1:])]
+        # Views made once, so that a call allocates nothing but its result.
+        (self.before, after), (self.drops, self.later) = buf[:, :-1], buf[:, -1]
+        self.after_subs, self.after_first = after[1:], after[0]
+        self.negated = (self.before[1:], after[:1], after[2:])
+
+    def __call__(self) -> float:
+        if not self.drops.size:
+            return float("inf")
+        for rows in self.negated:
+            rows *= -1.0
+        np.subtract.reduce(self.after_subs, axis=0, out=self.later)
+        self.later -= self.after_first
+        np.subtract.reduce(self.before, axis=0, out=self.drops)
+        self.drops -= self.later
+        for rows in self.negated:
+            rows *= -1.0
+        return self.drops.min().item()
 
 
 def update_cluster_beliefs(
@@ -595,11 +611,11 @@ def update_cluster_beliefs(
     subs, store = _block(beliefs, c, sub_clusters)
     if not subs:
         return 0.0
-    layout = tuple(tuple(map(c.index, s)) for s in subs)
-    offsets = _member_offsets(store, [c], lambda _: subs)
-    drop = _Level(store, {(store.shape[c], layout): offsets}, {})()
+    key = (store.shape[c], tuple(tuple(map(c.index, s)) for s in subs))
+    drops = _Drops([_Level(store, {key: _member_offsets(store, [c], lambda _: subs)}, {})])
+    drops.calls[0]()
     store.bind(beliefs, list(store.where))
-    return drop
+    return drops()
 
 
 def decode(beliefs: BeliefState, graph: FactorGraph) -> tuple[int, ...]:
@@ -696,19 +712,6 @@ def _member_offsets(store: _Store, members: Sequence[Cluster],
 # stay within 64 KiB each; no level of the 16x16x3 grid needs two parts.
 _PART_CELLS = 8192
 
-# A part adds its members' role maxima with one ``np.add.accumulate`` over
-# the role axis when it has at most this many members per sub past the
-# first, else with one add per role; both add in the same order.  The adds
-# cost a numpy call per role, the accumulate an inner loop per member.
-# Timed on the two role sums alone (2 vCPUs, numpy 2.4), the accumulate
-# stops winning near 12 members with 2 subs, 40 with 3 or 4, 100 with 6 to
-# 8 and 200 with 12 to 16; with 1 sub the adds always win.  So the parts of
-# a 12-variable instance (1-9 members) accumulate, and the 100-member ``dd``
-# levels of 100 four-cycles (2 subs) add.  (``np.add.reduce`` over the roles
-# is not used: it adds a contiguous role axis pairwise, as with one member
-# and 8 or more roles.)
-_SUM_MEMBERS = 12
-
 # Cells of index maps and new-cell scales a compiled sweep keeps across calls
 # (64 KiB of intp or float64), first come, first served; a part past the
 # budget rebuilds its maps and scale per call.  A 12-variable instance keeps
@@ -739,7 +742,7 @@ class _Sweep:
     spec grown from the last one over the same state and leaves steps
     that run a full compile's levels and batches, split into parts
     differently perhaps, which changes no result: the members of a level
-    touch disjoint tables and a step returns a minimum.  Parts keep their
+    touch disjoint tables and :class:`_Drops` takes one minimum over them.  Parts keep their
     index maps and scale while :attr:`kept_cells` stays within
     ``_KEPT_CELLS``; a replaced part gives its kept cells back."""
 
@@ -916,7 +919,8 @@ def _run(
         if sweep is None:
             state = beliefs if beliefs is not None else init_beliefs(graph, spec)
             sweep = _Sweep(spec, state, graph.cardinalities)
-        state, store, steps = sweep.state, sweep.store, list(chain.from_iterable(sweep.steps))
+        state, store = sweep.state, sweep.store
+        drops = _Drops(list(chain.from_iterable(sweep.steps)))
     else:
         ctx = _MessageContext(graph, spec)
         if messages is None:
@@ -925,7 +929,8 @@ def _run(
         state = ctx.beliefs(messages)
         store = _Store(state, graph.cardinalities)
         store.bind(state, list(store.where))
-        steps = [partial(_message_sweep, messages, ctx, store)]
+        drops = _Drops([])  # a message sweep reports no block drop
+        drops.calls.append(partial(_message_sweep, messages, ctx, store))
 
     trace = DualTrace()
     min_drop = float("inf")
@@ -936,10 +941,9 @@ def _run(
     x = store.states(graph.num_vars)
     g_prev = store.dual()
     for sweep in range(1, params.max_sweeps + 1):
-        for step in steps:
-            drop = step()
-            if drop < min_drop:
-                min_drop = drop
+        for step in drops.calls:
+            step()
+        min_drop = min(min_drop, drops())
         g = store.dual()
         x = store.states(graph.num_vars)
         trace.append(TraceRecord(
@@ -1045,15 +1049,13 @@ def _update_messages(msgs: Messages, ctx: _MessageContext, c: Cluster) -> None:
         msgs[(c, s)] = bracket.max(axis=axes) * inv - piece
 
 
-def _message_sweep(msgs: Messages, ctx: _MessageContext, store: _Store) -> float:
+def _message_sweep(msgs: Messages, ctx: _MessageContext, store: _Store) -> None:
     """Message mode's whole sweep as one step: every extended cluster in
-    insertion order, then the beliefs rebuilt into the store.  Reports no
-    block drop."""
+    insertion order, then the beliefs rebuilt into the store."""
     for c in ctx.order:
         _update_messages(msgs, ctx, c)
     for t, v in ctx.beliefs(msgs).items():
         store.view(t)[...] = v
-    return float("inf")
 
 
 # ---------------------------------------------------------------------------

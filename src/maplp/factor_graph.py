@@ -14,7 +14,7 @@ Conventions used across the package:
   those whose scope was given unsorted) and copies all of them together
   into one read-only array, :attr:`FactorGraph.flat`; the tables are views
   of it, made one reshape per run of equal shapes.  Checks over every
-  entry, such as finiteness in :func:`validate`, make one pass over that
+  entry, such as finiteness for :func:`validate`, make one pass over that
   array and search the single tables only on failure.
 """
 
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from math import prod
 from numbers import Integral
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -142,6 +143,10 @@ class FactorGraph:
         kept_scopes: list[Cluster] = []
         arrays: list[np.ndarray] = []
         shapes: list[tuple[int, ...]] = []
+        # For ``validate``: (potential, message, whether its entries go unchecked).
+        problems: list[tuple[int, str, bool]] = []
+        if any(k < 1 for k in cards):
+            problems.append((-1, "cardinalities must all be >= 1", False))
         for i, (raw, table) in enumerate(zip(scopes, tables)):
             try:
                 values = np.asarray(table, dtype=np.float64)
@@ -151,10 +156,18 @@ class FactorGraph:
             scope = tuple(sorted(raw))
             # A table on a bad scope, or of the wrong size, keeps its input
             # shape, for ``validate`` to report.
-            shape = values.shape
-            if scope and 0 <= scope[0] and scope[-1] < len(cards) and len(set(scope)) == len(scope):
+            n, shape, problem, size = len(arrays), values.shape, None, None
+            if not scope:
+                problem = f"cluster {n}: empty scope"
+            elif scope[0] < 0 or scope[-1] >= len(cards):
+                problem = f"cluster {n}: index out of range in {scope}"
+            elif len(set(scope)) != len(scope):
+                problem = f"cluster {n}: scope not strictly ascending"
+            else:
                 want = tuple(map(cards.__getitem__, scope))
-                if values.size == prod(want):
+                if values.size != prod(want):
+                    size = f"cluster {n} {scope}: table size {values.size}, expected {prod(want)}"
+                else:
                     shape = want
                     if scope != raw:
                         # Incoming entries are row-major over the scope as
@@ -168,7 +181,11 @@ class FactorGraph:
             else:
                 # A table that cannot be summed with an earlier one on the
                 # same scope is kept apart, for ``validate`` to report.
-                kept.setdefault(scope, len(arrays))
+                if problem is None and j is not None:
+                    problems.append((n, f"cluster {n}: duplicate cluster set {scope}", False))
+                if problem or size:
+                    problems.append((n, problem or size, True))
+                kept.setdefault(scope, n)
                 kept_scopes.append(scope)
                 arrays.append(values)
                 shapes.append(shape)
@@ -179,6 +196,14 @@ class FactorGraph:
             map(PotentialTable, kept_scopes, views(self.flat, shapes)))
         self._by_scope: dict[Cluster, PotentialTable] = {
             scope: self.potentials[j] for scope, j in kept.items()}
+        # One pass over every entry; tables are searched only on failure.
+        if not np.isfinite(self.flat).all():
+            skipped = {i for i, _, skips in problems if skips}
+            problems += [(i, f"cluster {i} {p.scope}: non-finite table entries", False)
+                         for i, p in enumerate(self.potentials)
+                         if i not in skipped and not np.isfinite(p.values).all()]
+            problems.sort(key=itemgetter(0))
+        self._problems = [message for _, message, _ in problems]
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
@@ -219,36 +244,9 @@ def energy(graph: FactorGraph, x: Sequence[int]) -> float:
 
 
 def validate(graph: FactorGraph) -> list[str]:
-    """Check all FactorGraph invariants; returns one message per violation."""
-    problems: list[str] = []
-    # One pass over every table's entries; tables are searched only on failure.
-    finite = bool(np.isfinite(graph.flat).all())
-    if any(k < 1 for k in graph.cardinalities):
-        problems.append("cardinalities must all be >= 1")
-    seen: set[Cluster] = set()
-    for i, p in enumerate(graph.potentials):
-        scope = p.scope
-        if not scope:
-            problems.append(f"cluster {i}: empty scope")
-            continue
-        if any(v < 0 or v >= graph.num_vars for v in scope):
-            problems.append(f"cluster {i}: index out of range in {scope}")
-            continue
-        if any(a >= b for a, b in zip(scope, scope[1:])):
-            problems.append(f"cluster {i}: scope not strictly ascending")
-            continue
-        if scope in seen:
-            problems.append(f"cluster {i}: duplicate cluster set {scope}")
-        seen.add(scope)
-        want = table_cells(scope, graph.cardinalities)
-        if p.values.size != want:
-            problems.append(
-                f"cluster {i} {scope}: table size {p.values.size}, expected {want}"
-            )
-            continue
-        if not finite and not np.isfinite(p.values).all():
-            problems.append(f"cluster {i} {scope}: non-finite table entries")
-    return problems
+    """Check all FactorGraph invariants; returns one message per violation,
+    as the graph found them when it was built."""
+    return list(graph._problems)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 updating cluster in insertion order, the dual summed left to right in table
 order, decoding from the smallest owner table, the primal summed in
 potential order.  Levelling and shape batching must not change a single
-bit, so every comparison here is exact ``==``.
+bit, so every comparison here is exact: ``==``, and bytes for the smallest
+drop, where ``==`` would take ``-0.0`` for ``0.0``.
 """
 
 import numpy as np
@@ -88,6 +89,10 @@ def reference_run(graph, spec, tables, max_sweeps, inner_tol=SolverParams.inner_
     return duals, primals, min_drop, reference_decode(tables, graph.num_vars)
 
 
+def float_bytes(x):
+    return np.float64(x).tobytes()
+
+
 def assert_same_run(graph, spec, max_sweeps, beliefs=None):
     """Run both sweeps from equal states; returns the compiled run."""
     state = beliefs if beliefs is not None else init_beliefs(graph, spec)
@@ -96,7 +101,7 @@ def assert_same_run(graph, spec, max_sweeps, beliefs=None):
     result = run(graph, spec, SolverParams(max_sweeps=max_sweeps), beliefs=state)
     assert result.trace.duals == duals
     assert result.trace.primals == primals
-    assert result.min_update_decrease == min_drop
+    assert float_bytes(result.min_update_decrease) == float_bytes(min_drop)
     assert result.assignment == assignment
     assert list(result.beliefs) == list(ref_tables)
     for t, table in ref_tables.items():

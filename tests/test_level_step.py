@@ -2,9 +2,10 @@
 reference, on the cases that stress a level step: unions with nested
 sub-clusters, mixed and unit cardinalities, tables that update at one level
 and are a sub-cluster at a later one, and random graphs.  Every comparison
-is exact ``==`` through ``assert_same_run``.  Also pinned: one step per
-level, index maps kept within their budget giving the same iterates as maps
-rebuilt per call, and what a compiled sweep keeps in memory.
+is exact through ``assert_same_run``.  Also pinned: one step per level,
+index maps kept within their budget giving the same iterates as maps
+rebuilt per call, each sweep's drop pass and role sums giving the
+reference's bytes, and what a compiled sweep keeps in memory.
 """
 
 import gc
@@ -32,7 +33,7 @@ from maplp.engine import _run, _Sweep
 from maplp.factor_graph import table_shape
 
 from conftest import random_clusters_graph
-from test_compiled_sweep import SIX_SPECS, assert_same_run
+from test_compiled_sweep import SIX_SPECS, assert_same_run, float_bytes, reference_update
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -191,7 +192,8 @@ class BudgetedRuns:
         for b in rest:
             assert results[b].trace.duals == results[first].trace.duals
             assert results[b].trace.primals == results[first].trace.primals
-            assert results[b].min_update_decrease == results[first].min_update_decrease
+            assert (float_bytes(results[b].min_update_decrease)
+                    == float_bytes(results[first].min_update_decrease))
             assert results[b].assignment == results[first].assignment
             assert stores[b].where == stores[first].where
             assert np.array_equal(stores[b].buf[:stores[b].used],
@@ -266,37 +268,39 @@ def test_twelve_variable_instances_keep_every_map(builder):
         assert all(p.kept for p in all_parts(sweep))
 
 
+def reference_sweep_drops(spec, tables, sweeps):
+    """Per sweep of the one-cluster-at-a-time reference, its smallest drop;
+    updates ``tables`` in place."""
+    drops = []
+    for _ in range(sweeps):
+        drop = float("inf")
+        for c in spec.extended_clusters:
+            subs = spec.proper_subs_of(c)
+            if subs:
+                drop = min(drop, reference_update(tables, c, subs))
+        drops.append(drop)
+    return drops
+
+
 def assert_role_sums_agree(monkeypatch, graph, spec, max_sweeps):
-    """Solve ``spec`` with every part adding its role maxima one role at a
-    time, then with one accumulate in every part of two or more subs;
-    require ``==`` drops of every step call, traces, decrease, assignments
-    and stores, and return the second run's sweep."""
-    step = engine._Level.__call__
-    runs = []
-    for members in (0, 10**9):
-        drops = []
+    """Solve ``spec`` compiled, recording what each sweep's drop pass
+    returns, and require the bytes of the reference's per-sweep smallest
+    drops and final tables; returns the compiled sweep."""
+    drops, call = [], engine._Drops.__call__
 
-        def recorded(part):
-            drops.append(step(part))
-            return drops[-1]
+    def recorded(self):
+        drops.append(call(self))
+        return drops[-1]
 
-        monkeypatch.setattr(engine, "_SUM_MEMBERS", members)
-        monkeypatch.setattr(engine._Level, "__call__", recorded)
-        sweep = _Sweep(spec, init_beliefs(graph, spec), graph.cardinalities)
-        result = _run(graph, spec, SolverParams(max_sweeps=max_sweeps), sweep=sweep)
-        summed = [p for p in all_parts(sweep) if p.K > 1]
-        assert summed and all(p.accumulate == (members > 0) for p in summed)
-        runs.append((result, sweep, drops))
-    (adds, adds_sweep, adds_drops), (acc, acc_sweep, acc_drops) = runs
-    assert acc_drops == adds_drops
-    assert acc.trace.duals == adds.trace.duals
-    assert acc.trace.primals == adds.trace.primals
-    assert acc.min_update_decrease == adds.min_update_decrease
-    assert acc.assignment == adds.assignment
-    a, b = adds_sweep.store, acc_sweep.store
-    assert a.where == b.where
-    assert np.array_equal(a.buf[:a.used], b.buf[:b.used])
-    return acc_sweep
+    monkeypatch.setattr(engine._Drops, "__call__", recorded)
+    state = init_beliefs(graph, spec)
+    tables = {t: v.copy() for t, v in state.items()}
+    sweep = _Sweep(spec, state, graph.cardinalities)
+    result = _run(graph, spec, SolverParams(max_sweeps=max_sweeps), sweep=sweep)
+    want = reference_sweep_drops(spec, tables, len(result.trace))
+    assert list(map(float_bytes, drops)) == list(map(float_bytes, want))
+    assert all(state[t].tobytes() == table.tobytes() for t, table in tables.items())
+    return sweep
 
 
 def test_role_sums_agree_on_one_member_parts_of_nine_subs(monkeypatch):
@@ -312,6 +316,47 @@ def test_role_sums_agree_on_one_member_parts_of_nine_subs(monkeypatch):
 def test_role_sums_agree_on_unit_cardinalities(monkeypatch, builder):
     g = seeded_graph([1] * 6, MIXED_CLUSTERS, seed=0)
     assert_role_sums_agree(monkeypatch, g, builder(g), max_sweeps=10)
+
+
+def test_role_sums_agree_on_one_cell_part_of_ten_roles(monkeypatch):
+    """Unit cardinalities: one member of one cell and nine subs, so the
+    roles of the joint lie along one contiguous axis, which
+    ``np.add.reduce`` would add pairwise.  Entries of mixed magnitudes make
+    the order of the adds show in the sums."""
+    big, cards = tuple(range(9)), [1] * 9
+    rng = XorShift64Star(7)
+    tables = [rng.normals(1) * 10.0 ** (v % 5 * 4 - 8) for v in range(10)]
+    g = FactorGraph(cards, [big, *((v,) for v in big)], tables)
+    spec = RelaxationSpec((big,), {big: tuple((v,) for v in big)})
+    sweep = assert_role_sums_agree(monkeypatch, g, spec, max_sweeps=10)
+    assert [(p.K, p.width) for p in all_parts(sweep)] == [(9, 1)]
+
+
+def test_parts_of_different_role_counts_match_reference(monkeypatch):
+    """``ps`` on 12-variable instances: a sweep's parts have different role
+    counts, so the drop pass pads the shorter ones."""
+    for seed in range(4):
+        g = random_clusters_graph(200 + seed, max_vars=12)
+        spec = powerset_spec(g)
+        sweep = assert_role_sums_agree(monkeypatch, g, spec, max_sweeps=20)
+        assert len({p.K for p in all_parts(sweep)}) > 1
+        assert_same_run(g, spec, max_sweeps=20)
+
+
+def test_negative_zero_tables_match_reference_bytes(monkeypatch):
+    """Tables of ``-0.0`` make the first update's drop ``-0.0``, which
+    padding its two subs to the next part's three with ``+0.0`` would turn
+    into ``0.0``; the next update's drop is positive."""
+    clusters = [(0,), (1,), (2,), (0, 1), (0, 1, 2)]
+    tables = [np.full(2, -0.0), np.full(2, -0.0), np.array([-1.0, 0.0]),
+              np.full(4, -0.0), -np.arange(8.0)]
+    g = FactorGraph([2, 2, 2], clusters, tables)
+    spec = RelaxationSpec(((0, 1), (0, 1, 2)),
+                          {(0, 1): ((0,), (1,)), (0, 1, 2): ((0,), (1,), (2,))})
+    sweep = assert_role_sums_agree(monkeypatch, g, spec, max_sweeps=5)
+    assert [p.K for p in all_parts(sweep)] == [2, 3]
+    result = assert_same_run(g, spec, max_sweeps=5)
+    assert float_bytes(result.min_update_decrease) == float_bytes(-0.0)
 
 
 def test_role_sums_agree_on_hundred_member_levels(monkeypatch):

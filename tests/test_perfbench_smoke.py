@@ -1,8 +1,9 @@
 """The benchmark runs end to end: one short run of each workload exits 0 with
 every gate passed (grid-solve's include the belief scalars per sweep of each
 relaxation, small-certify's the rank-certified diagram reductions) and
-reports exactly the end-to-end metrics that ``BENCHMARK.json`` declares; a
-traced grid-solve run reports exactly its per-layer metrics."""
+reports exactly the end-to-end metrics that ``BENCHMARK.json`` declares;
+traced grid-solve and small-certify runs report exactly the per-layer
+metrics."""
 
 import json
 import subprocess
@@ -46,3 +47,10 @@ def test_grid_solve_traced_smoke():
     names = run_smoke("grid-solve", trace=1)
     assert len(names) == 63
     assert "io.load_model_s" in names
+
+
+def test_small_certify_traced_smoke():
+    """The traced path carries the per-mode sweep times: belief mode's runs
+    through the level steps, message mode's does not."""
+    names = run_smoke("small-certify", trace=1)
+    assert "engine.beliefs_sweep_ms" in names and "engine.messages_sweep_ms" in names

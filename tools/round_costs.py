@@ -41,7 +41,8 @@ PHASES = {
     "index growth": [(pursuit._SearchIndex, "grow")],
     "first compile": [(engine._Sweep, "__init__")],
     "sweep growth": [(engine._Sweep, "grow")],
-    "level steps": [(engine._Level, "__call__")],
+    # The steps, and the pass that takes each sweep's block drops from them.
+    "level steps": [(engine._Level, "__call__"), (engine._Drops, "__call__")],
     "dual, decode, primal": [(engine._Store, "dual"), (engine._Store, "states"),
                              (engine._Primal, "__call__")],
 }
