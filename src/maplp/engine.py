@@ -56,8 +56,8 @@ subtractions in sub order.  A step makes each role sum over a part's cells
 in one ``np.subtract.reduce`` down the role axis, in role order: the joint
 with the sub rows negated (``x0 - (-x1)`` is ``x0 + x1`` to the bit,
 signed zeros included), then the member table as ``joint - new1 - ...``.
-``np.add.reduce`` would add a contiguous role axis pairwise, as a part of
-one cell has.  Block drops are taken once per sweep: the steps write their
+``np.add.reduce`` would add the role axis pairwise where it is contiguous,
+in a part of one cell.  Block drops are taken once per sweep: the steps write their
 members' role maxima into a buffer of the run, which :class:`_Drops` sums
 the same way, rows 0..K before and 1..K, then 0, after the update.  Maxima
 are exact in any order.  The dual adds the table maxima left to right in
@@ -570,7 +570,7 @@ class _Drops:
     padded with ``-0.0``, which adds nothing, a zero included.  A call
     returns the sweep's smallest drop (``inf`` for none): per update, the
     maxima added in order 0..K before, minus 1..K, 0 after, each sum one
-    ``np.subtract.reduce`` over rows negated in place."""
+    ``np.subtract.reduce`` over rows negated in place, into the last row."""
 
     def __init__(self, parts: Sequence[_Level]):
         bounds = [0, *accumulate(len(p.cells) for p in parts)]
@@ -742,9 +742,9 @@ class _Sweep:
     spec grown from the last one over the same state and leaves steps
     that run a full compile's levels and batches, split into parts
     differently perhaps, which changes no result: the members of a level
-    touch disjoint tables and :class:`_Drops` takes one minimum over them.  Parts keep their
-    index maps and scale while :attr:`kept_cells` stays within
-    ``_KEPT_CELLS``; a replaced part gives its kept cells back."""
+    touch disjoint tables and :class:`_Drops` takes one minimum over them.
+    Parts keep their index maps and scale while :attr:`kept_cells` stays
+    within ``_KEPT_CELLS``; a replaced part gives its kept cells back."""
 
     def __init__(self, spec: RelaxationSpec, state: BeliefState,
                  cardinalities: Sequence[int]):
